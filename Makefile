@@ -10,9 +10,9 @@ GO ?= go
 # detection on fresh mutations of the seed corpus, not deep exploration.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet vet-obs vet-wal test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
+.PHONY: check build vet vet-obs vet-wal test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
 
-check: vet-obs vet-wal build test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
+check: vet-obs vet-wal build test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
 	@echo "tier-1 gate: OK"
 
 build:
@@ -89,6 +89,13 @@ race:
 # has its own fast signal.
 race-core:
 	$(GO) test -race -short ./internal/exec/... ./internal/oracle/... ./internal/server/... ./internal/wal/... ./internal/sim/...
+
+# The why-not benchmark (benchmark/, run by benchmark/run.sh) is a module of
+# its own, so `go build ./...` and `go test ./...` above skip it. Vetting and
+# testing it here makes an API change in a package it drives break this gate
+# instead of the next benchmark run.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Benchmark smoke: the parallel/cache-aware configuration against the
 # sequential reference on CarDB-50K, recorded as BENCH_parallel.json.

@@ -183,10 +183,16 @@ func (p Point) WeaklyDominates(q Point) bool {
 // per-dimension absolute distance vector from c to p.
 func (p Point) Transform(c Point) Point {
 	t := make(Point, len(p))
-	for i := range p {
-		t[i] = math.Abs(c[i] - p[i])
-	}
+	p.TransformInto(c, t)
 	return t
+}
+
+// TransformInto is Transform writing into dst, which must hold len(p)
+// coordinates; it allocates nothing.
+func (p Point) TransformInto(c, dst Point) {
+	for i := range p {
+		dst[i] = math.Abs(c[i] - p[i])
+	}
 }
 
 // DynDominates reports whether a dynamically dominates b with respect to the

@@ -229,19 +229,35 @@ func (r Rect) MinDistL2(p Point) float64 {
 // the interval [Lo_i, Hi_i]. It is used for branch-and-bound pruning in the
 // transformed (dynamic) space.
 func (r Rect) TransformMinMax(c Point) Rect {
-	lo := make(Point, len(c))
-	hi := make(Point, len(c))
+	dst := Rect{Lo: make(Point, len(c)), Hi: make(Point, len(c))}
+	r.TransformMinMaxInto(c, dst)
+	return dst
+}
+
+// TransformMinMaxInto is TransformMinMax writing into dst, whose Lo and Hi
+// must each hold len(c) coordinates. It allocates nothing, so a
+// branch-and-bound traversal can bound every box it visits in one pair of
+// scratch buffers.
+func (r Rect) TransformMinMaxInto(c Point, dst Rect) {
 	for i := range c {
+		// Both distances are non-negative (never -0), so plain comparisons
+		// pick the same values math.Min and math.Max would.
 		dLo := math.Abs(c[i] - r.Lo[i])
 		dHi := math.Abs(c[i] - r.Hi[i])
-		hi[i] = math.Max(dLo, dHi)
-		if c[i] >= r.Lo[i] && c[i] <= r.Hi[i] {
-			lo[i] = 0
+		if dHi > dLo {
+			dst.Hi[i] = dHi
 		} else {
-			lo[i] = math.Min(dLo, dHi)
+			dst.Hi[i] = dLo
+		}
+		switch {
+		case c[i] >= r.Lo[i] && c[i] <= r.Hi[i]:
+			dst.Lo[i] = 0
+		case dLo < dHi:
+			dst.Lo[i] = dLo
+		default:
+			dst.Lo[i] = dHi
 		}
 	}
-	return Rect{Lo: lo, Hi: hi}
 }
 
 // String renders the rectangle as "[Lo, Hi]".

@@ -262,51 +262,24 @@ func (db *DB) WindowFrontierChecked(chk *cancel.Checker, c, q, centre geom.Point
 	// Guided DFS: visit near-centre subtrees first so their Λ members prune
 	// the rest. Strict global ordering is unnecessary — any collected Λ
 	// member prunes soundly, and a final minima pass exactifies the result.
-	// Scratch buffers keep the transformed-box computation allocation-free.
-	trLo := make(geom.Point, len(centre))
-	trHi := make(geom.Point, len(centre))
+	// One scratch box keeps the transformed-bounds computation
+	// allocation-free.
+	trR := geom.Rect{Lo: make(geom.Point, len(centre)), Hi: make(geom.Point, len(centre))}
 	prune := func(r geom.Rect) bool {
-		for i := range centre {
-			dLo := centre[i] - r.Lo[i]
-			if dLo < 0 {
-				dLo = -dLo
-			}
-			dHi := centre[i] - r.Hi[i]
-			if dHi < 0 {
-				dHi = -dHi
-			}
-			if dHi > dLo {
-				trHi[i] = dHi
-			} else {
-				trHi[i] = dLo
-			}
-			if centre[i] >= r.Lo[i] && centre[i] <= r.Hi[i] {
-				trLo[i] = 0
-			} else if dLo < dHi {
-				trLo[i] = dLo
-			} else {
-				trLo[i] = dHi
-			}
+		if len(cands) == 0 {
+			return false
 		}
+		r.TransformMinMaxInto(centre, trR)
 		for i := range cands {
-			if cands[i].tr.WeaklyDominates(trLo) {
-				inside := true
-				for j := range trLo {
-					if cands[i].tr[j] < trLo[j] || cands[i].tr[j] > trHi[j] {
-						inside = false
-						break
-					}
-				}
-				if !inside {
-					return true
-				}
+			if cands[i].tr.WeaklyDominates(trR.Lo) && !trR.Contains(cands[i].tr) {
+				return true
 			}
 		}
 		return false
 	}
 	db.treeMu.RLock()
 	err := db.tree.GuidedSearchChecked(chk, window,
-		func(r geom.Rect) float64 { return boxTransformSum(r, centre) },
+		func(r geom.Rect) float64 { return r.MinDistL1(centre) },
 		prune,
 		func(it Item) bool {
 			if it.ID == excludeID || !window.Contains(it.Point) {
@@ -356,20 +329,6 @@ func (db *DB) WindowFrontierChecked(chk *cancel.Checker, c, q, centre geom.Point
 	obs.AddDominanceTests(dt)
 	obs.AddPruned(pr)
 	return out, nil
-}
-
-func boxTransformSum(r geom.Rect, centre geom.Point) float64 {
-	var s float64
-	for i := range centre {
-		lo, hi := r.Lo[i], r.Hi[i]
-		switch {
-		case centre[i] < lo:
-			s += lo - centre[i]
-		case centre[i] > hi:
-			s += centre[i] - hi
-		}
-	}
-	return s
 }
 
 // IsReverseSkyline reports whether customer c belongs to RSL(q): the window
@@ -626,6 +585,7 @@ func (db *DB) ReverseSkylineFilteredParallel(ctx context.Context, customers []It
 				dt++
 				if skyline.GlobalDominates(q, p.Point, c.Point) {
 					obs.AddDominanceTests(dt)
+					obs.AddPruned(1)
 					return nil // pruned: cannot be a reverse-skyline member
 				}
 			}

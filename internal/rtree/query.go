@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -108,25 +107,57 @@ func (t *Tree) Items() []Item {
 
 // ---- best-first (branch-and-bound) traversal -------------------------------
 
-// pqEntry is a heap element: either an internal node or a concrete item.
+// pqEntry is a heap element: the tree entry a node or an item was reached
+// through, so a pop bounds a node by the rectangle its parent stores (equal
+// to the node's MBR, see checkInvariants) instead of rebuilding it.
 type pqEntry struct {
-	key  float64
-	node *node
-	item Item
-	leaf bool
+	key float64
+	e   *entry // e.child == nil: the item e.item
 }
 
+// pq is a binary min-heap on key. push and pop replicate container/heap's
+// sift-up and sift-down step for step, without boxing every element in an
+// interface. The exact order matters: keys tie often (every node containing
+// the centre has key 0), and which tied entry pops first decides which nodes
+// a pruning traversal visits, so the paper's cost counters depend on it.
 type pq []pqEntry
 
-func (h pq) Len() int            { return len(h) }
-func (h pq) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h pq) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pq) Push(x interface{}) { *h = append(*h, x.(pqEntry)) }
-func (h *pq) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+func (h *pq) push(x pqEntry) {
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].key < s[i].key) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *pq) pop() pqEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].key < s[j1].key {
+			j = j2 // right child
+		}
+		if !(s[j].key < s[i].key) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	x := s[n]
+	*h = s[:n]
 	return x
 }
 
@@ -135,6 +166,9 @@ func (h *pq) Pop() interface{} {
 // rectangle. prune, when non-nil, is consulted before expanding a node or
 // emitting an item; returning true skips the subtree/item (the BBS dominance
 // pruning hook). Iteration stops when fn returns false.
+//
+// The rectangles handed to rectKey and prune are the tree's own storage:
+// read-only, and valid only for the duration of the call.
 func (t *Tree) BestFirst(
 	itemKey func(geom.Point) float64,
 	rectKey func(geom.Rect) float64,
@@ -171,44 +205,42 @@ func (t *Tree) bestFirst(
 	if t.size == 0 {
 		return
 	}
-	h := &pq{}
-	heap.Push(h, pqEntry{key: rectKey(t.root.mbr()), node: t.root})
-	for h.Len() > 0 {
+	// The root has no parent entry; this one stands in for it.
+	root := &entry{rect: t.root.mbr(), child: t.root}
+	h := pq{{key: rectKey(root.rect), e: root}}
+	for len(h) > 0 {
 		if chk.Point(cancel.SiteRTreeNode) != nil {
 			return
 		}
-		e := heap.Pop(h).(pqEntry)
-		if e.node != nil {
-			t.recordAccess(e.node.level)
-		}
-		if e.leaf {
-			if prune != nil && prune(geom.PointRect(e.item.Point)) {
+		top := h.pop()
+		e := top.e
+		if e.child == nil {
+			if prune != nil && prune(e.rect) {
 				t.pruned.Add(1)
 				continue
 			}
-			if !fn(e.item, e.key) {
+			if !fn(e.item, top.key) {
 				return
 			}
 			continue
 		}
-		if prune != nil && prune(e.node.mbr()) {
+		n := e.child
+		t.recordAccess(n.level)
+		if prune != nil && prune(e.rect) {
 			t.pruned.Add(1)
 			continue
 		}
 		prunedHere := int64(0)
-		for _, ne := range e.node.entries {
-			if e.node.leaf {
-				if prune != nil && prune(ne.rect) {
-					prunedHere++
-					continue
-				}
-				heap.Push(h, pqEntry{key: itemKey(ne.item.Point), item: ne.item, leaf: true})
+		for i := range n.entries {
+			ne := &n.entries[i]
+			if prune != nil && prune(ne.rect) {
+				prunedHere++
+				continue
+			}
+			if n.leaf {
+				h.push(pqEntry{key: itemKey(ne.item.Point), e: ne})
 			} else {
-				if prune != nil && prune(ne.rect) {
-					prunedHere++
-					continue
-				}
-				heap.Push(h, pqEntry{key: rectKey(ne.rect), node: ne.child})
+				h.push(pqEntry{key: rectKey(ne.rect), e: ne})
 			}
 		}
 		if prunedHere > 0 {

@@ -93,12 +93,11 @@ type node struct {
 	entries []entry
 }
 
+// mbr returns a fresh minimum bounding rectangle of n's entries. It is the
+// value the parent's entry for n stores (checkInvariants pins equality), so
+// traversals read that stored copy instead of calling this.
 func (n *node) mbr() geom.Rect {
-	r := n.entries[0].rect.Clone()
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
-	}
-	return r
+	return mbrOf(n.entries)
 }
 
 // Tree is an R*-tree over point items. It is not safe for concurrent
@@ -380,7 +379,8 @@ func (t *Tree) rstarSplit(n *node) (*node, *node) {
 func mbrOf(es []entry) geom.Rect {
 	r := es[0].rect.Clone()
 	for _, e := range es[1:] {
-		r = r.Union(e.rect)
+		r.Expand(e.rect.Lo)
+		r.Expand(e.rect.Hi)
 	}
 	return r
 }
@@ -504,7 +504,7 @@ func strPack(items []Item, M, dims int) []*node {
 	for i, it := range items {
 		entries[i] = entry{rect: geom.PointRect(it.Point), item: it}
 	}
-	groups := strTile(entries, M, dims, 0, func(e entry, d int) float64 { return e.rect.Center()[d] })
+	groups := strTile(entries, M, dims, 0)
 	leaves := make([]*node, len(groups))
 	for i, g := range groups {
 		leaves[i] = &node{leaf: true, level: 0, entries: g}
@@ -517,7 +517,7 @@ func packNodes(children []*node, M, dims, level int) []*node {
 	for i, c := range children {
 		entries[i] = entry{rect: c.mbr(), child: c}
 	}
-	groups := strTile(entries, M, dims, 0, func(e entry, d int) float64 { return e.rect.Center()[d] })
+	groups := strTile(entries, M, dims, 0)
 	out := make([]*node, len(groups))
 	for i, g := range groups {
 		out[i] = &node{leaf: false, level: level, entries: g}
@@ -525,16 +525,20 @@ func packNodes(children []*node, M, dims, level int) []*node {
 	return out
 }
 
-// strTile recursively sorts by successive dimensions and slices into tiles.
-// Every returned group owns its backing array: groups become node entry
-// slices, and a node must be able to append within its own capacity without
-// clobbering a sibling. (Returning the aliased sub-slice here once let the
-// first post-bulk-load insert overwrite the first entry of the next leaf.)
-func strTile(es []entry, M, dims, dim int, key func(entry, int) float64) [][]entry {
+// strTile recursively sorts by the rectangle centres' successive dimensions
+// and slices into tiles. Every returned group owns its backing array: groups
+// become node entry slices, and a node must be able to append within its own
+// capacity without clobbering a sibling. (Returning the aliased sub-slice
+// here once let the first post-bulk-load insert overwrite the first entry of
+// the next leaf.)
+func strTile(es []entry, M, dims, dim int) [][]entry {
 	if len(es) <= M {
 		return [][]entry{append([]entry(nil), es...)}
 	}
-	sort.Slice(es, func(i, j int) bool { return key(es[i], dim) < key(es[j], dim) })
+	// The centre coordinate, computed in place: Rect.Center would allocate
+	// a point on every comparison.
+	center := func(e *entry) float64 { return (e.rect.Lo[dim] + e.rect.Hi[dim]) / 2 }
+	sort.Slice(es, func(i, j int) bool { return center(&es[i]) < center(&es[j]) })
 	if dim == dims-1 {
 		var out [][]entry
 		for i := 0; i < len(es); i += M {
@@ -560,7 +564,7 @@ func strTile(es []entry, M, dims, dim int, key func(entry, int) float64) [][]ent
 		if j > len(es) {
 			j = len(es)
 		}
-		out = append(out, strTile(es[i:j], M, dims, dim+1, key)...)
+		out = append(out, strTile(es[i:j], M, dims, dim+1)...)
 	}
 	return out
 }
@@ -590,8 +594,10 @@ func (t *Tree) checkInvariants() error {
 			if e.child.level != n.level-1 {
 				return fmt.Errorf("child level %d under parent level %d", e.child.level, n.level)
 			}
-			if !e.rect.ContainsRect(e.child.mbr()) {
-				return fmt.Errorf("entry rect %v does not cover child MBR %v", e.rect, e.child.mbr())
+			// Exact, not just covering: best-first traversals bound a popped
+			// node by this stored rectangle instead of its recomputed MBR.
+			if m := e.child.mbr(); !e.rect.Lo.Equal(m.Lo) || !e.rect.Hi.Equal(m.Hi) {
+				return fmt.Errorf("entry rect %v differs from child MBR %v", e.rect, m)
 			}
 			if err := walk(e.child, false); err != nil {
 				return err

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -608,4 +609,88 @@ func TestBulkLoadThenInsertNoAliasing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Every internal entry must store exactly its child's MBR, not merely a
+// cover of it: best-first traversals bound a popped node by the stored
+// rectangle, so a loose one would change which subtrees get pruned. The check
+// runs after every operation of a long insert/delete churn, with the paper's
+// fanout and a tiny one that forces deep trees, splits and reinsertions.
+// (Bulk-loaded trees are checked by TestBulkLoadMatchesBrute.)
+func TestStoredRectsAreExactMBRs(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dims := 2 + int(seed%2)
+		cfg := Config{}
+		if seed%4 >= 2 {
+			cfg = Config{MaxEntries: 6, MinEntries: 2}
+		}
+		tr := New(dims, cfg)
+		live := map[int]Item{}
+		nextID := 0
+		for op := 0; op < 1500; op++ {
+			if len(live) == 0 || rng.Float64() < 0.6 {
+				p := make(geom.Point, dims)
+				for d := range p {
+					p[d] = rng.Float64() * 1000
+				}
+				it := Item{ID: nextID, Point: p}
+				nextID++
+				tr.Insert(it)
+				live[it.ID] = it
+			} else {
+				victim := rng.Intn(nextID)
+				it, ok := live[victim]
+				if !ok {
+					continue
+				}
+				if !tr.Delete(it) {
+					t.Fatalf("seed %d op %d: delete of live item %d failed", seed, op, victim)
+				}
+				delete(live, victim)
+			}
+			if err := tr.checkInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+	}
+}
+
+// The typed heap pops in exactly container/heap's order, ties included: with
+// keys drawn from a handful of values, the identity of every popped element
+// must match a container/heap driven by the same pushes and pops.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slots := make([]entry, 400)
+		var got pq
+		want := &refHeap{}
+		for op := 0; op < 2000; op++ {
+			if len(got) == 0 || rng.Intn(3) > 0 {
+				i := rng.Intn(len(slots))
+				key := float64(rng.Intn(4))
+				got.push(pqEntry{key: key, e: &slots[i]})
+				heap.Push(want, pqEntry{key: key, e: &slots[i]})
+				continue
+			}
+			g, w := got.pop(), heap.Pop(want).(pqEntry)
+			if g != w {
+				t.Fatalf("seed %d op %d: popped (%v, %p), container/heap pops (%v, %p)", seed, op, g.key, g.e, w.key, w.e)
+			}
+		}
+	}
+}
+
+// refHeap drives container/heap over the same elements as pq.
+type refHeap []pqEntry
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pqEntry)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }

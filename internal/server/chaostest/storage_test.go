@@ -188,12 +188,9 @@ func TestStorageFaultWindow(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	readonly := 0
-	for _, rec := range srv.FlightRecorder().Recent(0) {
-		if rec.Outcome == flight.OutcomeReadOnly {
-			readonly++
-		}
-	}
+	// The ledger's totals, not the record ring: the concurrent readers
+	// finish far more queries than the ring holds, evicting refusals.
+	readonly := int(srv.FlightRecorder().Totals().ByOutcome[flight.OutcomeReadOnly])
 	if readonly < refused {
 		t.Errorf("flight ledger has %d readonly outcomes, want >= %d", readonly, refused)
 	}

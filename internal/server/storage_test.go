@@ -180,16 +180,18 @@ func TestPendingPublishClearsViaProbe(t *testing.T) {
 	s.updateStorageLocked()
 	s.mutMu.Unlock()
 
+	// Read readyz before the insert: the refused insert wakes the reopen
+	// probe, which may republish before a later read.
+	_, body := do(t, s, "GET", "/v1/readyz", "")
+	if body["storage"] != "degraded (publish)" {
+		t.Errorf("readyz storage = %v, want %q", body["storage"], "degraded (publish)")
+	}
 	w, body := do(t, s, "POST", "/v1/admin/insert", `{"id":920002,"point":[50,60]}`)
 	if w.Code != 503 {
 		t.Fatalf("insert with pending publish = %d %v, want 503", w.Code, body)
 	}
 	if body["reason"] != "storage_degraded" {
 		t.Errorf("refusal reason = %v, want storage_degraded", body["reason"])
-	}
-	_, body = do(t, s, "GET", "/v1/readyz", "")
-	if body["storage"] != "degraded (publish)" {
-		t.Errorf("readyz storage = %v, want %q", body["storage"], "degraded (publish)")
 	}
 
 	// The probe retries the publish: the pending item set becomes the serving

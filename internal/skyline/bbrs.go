@@ -66,12 +66,19 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 		return true
 	}
 
+	// Per-traversal scratch for the pruned box's transformed bounds and the
+	// tested item's transform; only skyline members get their own copy.
+	trR := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
+	tr := make(geom.Point, d)
 	prune := func(r geom.Rect) bool {
+		if len(sky) == 0 {
+			return false
+		}
 		g, single := orthantOf(r)
 		if !single {
 			return false
 		}
-		trR := r.TransformMinMax(q)
+		r.TransformMinMaxInto(q, trR)
 		for _, s := range sky {
 			if compatible(s, g) && s.tr.WeaklyDominates(trR.Lo) && !trR.Contains(s.tr) {
 				return true
@@ -94,11 +101,12 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 	dt := 0
 	err := t.BestFirstChecked(
 		chk,
-		func(p geom.Point) float64 { return coordSum(p.Transform(q)) },
-		func(r geom.Rect) float64 { return coordSum(r.TransformMinMax(q).Lo) },
+		// The transformed coordinate sums, as in DynamicBBSExcludingChecked.
+		func(p geom.Point) float64 { return p.L1(q) },
+		func(r geom.Rect) float64 { return r.MinDistL1(q) },
 		prune,
 		func(it Item, _ float64) bool {
-			tr := it.Point.Transform(q)
+			it.Point.TransformInto(q, tr)
 			g := canonOf(it.Point)
 			for _, s := range sky {
 				if compatible(s, g) {
@@ -113,7 +121,7 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 			// distance in every dimension and blocks nobody (see
 			// GlobalDominates).
 			if !zeroPoint(tr) {
-				sky = append(sky, skyPoint{tr: tr, canon: g})
+				sky = append(sky, skyPoint{tr: tr.Clone(), canon: g})
 			}
 			out = append(out, it)
 			return true

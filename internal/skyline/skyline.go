@@ -278,8 +278,16 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point
 		tr   geom.Point
 	}
 	var sky []skyPoint
+	// Per-traversal scratch: the transformed bounds of the box being pruned
+	// and the transform of the item being tested. Only skyline members get
+	// their own copy.
+	trR := geom.Rect{Lo: make(geom.Point, len(c)), Hi: make(geom.Point, len(c))}
+	tr := make(geom.Point, len(c))
 	prune := func(r geom.Rect) bool {
-		trR := r.TransformMinMax(c)
+		if len(sky) == 0 {
+			return false
+		}
+		r.TransformMinMaxInto(c, trR)
 		for _, s := range sky {
 			if s.tr.WeaklyDominates(trR.Lo) && !trR.Contains(s.tr) {
 				return true
@@ -292,14 +300,17 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point
 	pruned := 0
 	err := t.BestFirstChecked(
 		chk,
-		func(p geom.Point) float64 { return coordSum(p.Transform(c)) },
-		func(r geom.Rect) float64 { return coordSum(r.TransformMinMax(c).Lo) },
+		// Σ|c_i − x_i| over the point, and its minimum over the box: the
+		// coordinate sums of the transformed point and transformed lower
+		// corner, without materialising either.
+		func(p geom.Point) float64 { return p.L1(c) },
+		func(r geom.Rect) float64 { return r.MinDistL1(c) },
 		prune,
 		func(it Item, _ float64) bool {
 			if it.ID == excludeID {
 				return true
 			}
-			tr := it.Point.Transform(c)
+			it.Point.TransformInto(c, tr)
 			for _, s := range sky {
 				dt++
 				if s.tr.Dominates(tr) {
@@ -307,7 +318,7 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point
 					return true
 				}
 			}
-			sky = append(sky, skyPoint{orig: it, tr: tr})
+			sky = append(sky, skyPoint{orig: it, tr: tr.Clone()})
 			out = append(out, it)
 			return true
 		},

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -173,6 +174,10 @@ func bruteDynamicSkyline(items []Item, c geom.Point) []Item {
 	return out
 }
 
+// DynamicBBS must agree with the brute-force oracle on every way a tree gets
+// built: STR bulk loading, and Insert with a Delete churn (splits, forced
+// reinsertion and condensing), where every internal rectangle the traversal
+// bounds nodes by was maintained incrementally.
 func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
@@ -182,19 +187,47 @@ func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 		for d := range c {
 			c[d] = rng.Float64() * 100
 		}
-		want := idSet(bruteDynamicSkyline(items, c))
-		got := idSet(Dynamic(items, c))
-		tr := rtree.BulkLoad(dims, items, rtree.Config{})
-		gotBBS := idSet(DynamicBBS(tr, c))
-		if len(got) != len(want) || len(gotBBS) != len(want) {
-			t.Fatalf("trial %d: Dynamic=%d DynamicBBS=%d want=%d", trial, len(got), len(gotBBS), len(want))
+		want := keys(idSet(bruteDynamicSkyline(items, c)))
+		sameIDsNamed(t, fmt.Sprintf("trial %d Dynamic", trial), Dynamic(items, c), want...)
+		trees := map[string]*rtree.Tree{
+			"bulk":         rtree.BulkLoad(dims, items, rtree.Config{}),
+			"insert":       churnedTree(dims, items, rtree.Config{}, nil),
+			"insertDelete": churnedTree(dims, items, rtree.Config{MaxEntries: 6, MinEntries: 2}, rng),
 		}
-		for id := range want {
-			if !got[id] || !gotBBS[id] {
-				t.Fatalf("trial %d: missing id %d", trial, id)
-			}
+		for name, tr := range trees {
+			sameIDsNamed(t, fmt.Sprintf("trial %d DynamicBBS, %s tree", trial, name), DynamicBBS(tr, c), want...)
 		}
 	}
+}
+
+// churnedTree inserts items one by one. With a non-nil rng it also inserts a
+// transient item after each one, then deletes the transients in random order,
+// so the final tree holds exactly items but has been through deletes.
+func churnedTree(dims int, items []Item, cfg rtree.Config, rng *rand.Rand) *rtree.Tree {
+	tr := rtree.New(dims, cfg)
+	var transient []Item
+	for _, it := range items {
+		tr.Insert(it)
+		if rng == nil {
+			continue
+		}
+		p := make(geom.Point, dims)
+		for d := range p {
+			p[d] = rng.Float64() * 100
+		}
+		ghost := Item{ID: 1_000_000 + it.ID, Point: p}
+		tr.Insert(ghost)
+		transient = append(transient, ghost)
+	}
+	if rng != nil {
+		rng.Shuffle(len(transient), func(i, j int) { transient[i], transient[j] = transient[j], transient[i] })
+	}
+	for _, g := range transient {
+		if !tr.Delete(g) {
+			panic("churnedTree: transient item not found")
+		}
+	}
+	return tr
 }
 
 func TestSkylineWithDuplicates(t *testing.T) {
@@ -496,5 +529,31 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 	}
 	if members < 2 {
 		t.Fatalf("test vacuous: only %d RSL members (need the record at q plus others)", members)
+	}
+}
+
+// DynamicBBS allocates per skyline member (its own transformed copy and the
+// result slices), not per node visited or entry pushed: boxes are bounded
+// in per-traversal scratch buffers, nodes by the rectangle their parent
+// stores, and the heap holds typed entries. The tree here makes the
+// traversal visit several times more nodes than the bound allows
+// allocations, so a per-node allocation cannot hide under it.
+func TestDynamicBBSAllocsScaleWithSkyline(t *testing.T) {
+	const dims = 3
+	items := randItems(20000, dims, 7)
+	tr := rtree.BulkLoad(dims, items, rtree.Config{})
+	c := geom.NewPoint(37, 37, 37)
+	sky := DynamicBBS(tr, c)
+	tr.ResetAccesses()
+	DynamicBBS(tr, c)
+	nodes := tr.Accesses()
+	bound := 2*len(sky) + 32
+	if nodes <= bound {
+		t.Fatalf("test tree too small: %d node visits against an allocation bound of %d", nodes, bound)
+	}
+	allocs := testing.AllocsPerRun(10, func() { DynamicBBS(tr, c) })
+	if allocs > float64(bound) {
+		t.Fatalf("DynamicBBS: %.0f allocations for a %d-point skyline over %d node visits; want at most %d",
+			allocs, len(sky), nodes, bound)
 	}
 }

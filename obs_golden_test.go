@@ -103,6 +103,42 @@ func TestCostDeltaMatchesOracleOnDataset(t *testing.T) {
 	}
 }
 
+// TestReverseSkylineCostSameSequentialAndParallel runs one reverse-skyline
+// query sequentially and then on a two-worker pool, one after the other, and
+// requires equal answers and equal cost deltas. The worker count changes who
+// does the work, not how much: every customer the global-dominance filter
+// removes is one pruned entry on either path.
+func TestReverseSkylineCostSameSequentialAndParallel(t *testing.T) {
+	items, err := GenerateDataset("CarDB", 5000, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := append(Point{}, items[11].Point...)
+	q[0] *= 0.9
+	run := func(opts DBOptions) ([]Item, Cost) {
+		db := NewDBWithOptions(2, items, opts)
+		before := db.Cost()
+		rsl := db.ReverseSkyline(items, q)
+		return rsl, db.Cost().Sub(before)
+	}
+	seqRSL, seq := run(DBOptions{})
+	parRSL, par := run(DBOptions{Parallelism: 2})
+	if len(seqRSL) != len(parRSL) {
+		t.Fatalf("RSL: %d members sequential, %d parallel", len(seqRSL), len(parRSL))
+	}
+	for i := range seqRSL {
+		if seqRSL[i].ID != parRSL[i].ID {
+			t.Fatalf("RSL member %d: ID %d sequential, %d parallel", i, seqRSL[i].ID, parRSL[i].ID)
+		}
+	}
+	if seq.PrunedEntries == 0 {
+		t.Fatal("the query pruned nothing; pick one the global-dominance filter acts on")
+	}
+	if seq != par {
+		t.Errorf("cost deltas differ:\nsequential %+v\nparallel   %+v", seq, par)
+	}
+}
+
 // TestPrometheusEndpointServesCost scrapes a live /metrics endpoint after a
 // query and checks the acceptance counters are exported in Prometheus text
 // format with plausible values.

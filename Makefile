@@ -10,9 +10,9 @@ GO ?= go
 # detection on fresh mutations of the seed corpus, not deep exploration.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet vet-obs vet-wal test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
+.PHONY: check build vet vet-obs vet-wal vet-surface test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
 
-check: vet-obs vet-wal build test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
+check: vet-obs vet-wal vet-surface build test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
 	@echo "tier-1 gate: OK"
 
 build:
@@ -72,6 +72,31 @@ vet-wal: vet
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "vet-wal: OK"
+
+# API-surface lint on top of go vet: each per-customer loop has one body,
+# and its worker count lives on the DB (DBOptions.Parallelism, resolved once
+# into rskyline.DB.SetWorkers). The query packages and the facade must not
+# grow a second way to pass one: no exported *Parallel / *ParallelCtx /
+# *ParallelContext twin, no exported function taking `workers int`, and no
+# Workers field in engine.Config. Tests and the cmd/ front-ends are exempt.
+SURFACE_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/rskyline/*.go internal/whynot/*.go internal/engine/*.go)) repro.go
+vet-surface: vet
+	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Parallel(Ctx|Context)?\(' $(SURFACE_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: exported *Parallel twin (fan out inside the one body; the DB holds the worker count):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*\(([^)]*[ ,])?workers(, *[A-Za-z_][A-Za-z0-9_]*)* int\b' $(SURFACE_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: exported function with a workers int parameter (the DB holds the worker count):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk '/^type Config struct/ {c = 1} c && /^}/ {c = 0} c && /^[[:space:]]+Workers[[:space:]]/ {print FILENAME ":" FNR ": " $$0}' internal/engine/*.go); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: engine.Config has a Workers field (the rungs use the DB's worker count):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "vet-surface: OK"
 
 # -shuffle=on randomises test (and subtest-source) execution order every
 # run, so accidental inter-test state dependence surfaces instead of

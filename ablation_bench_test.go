@@ -6,6 +6,7 @@ package repro
 // safe-region intersection.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -21,8 +22,9 @@ import (
 // larger k = bigger store, tighter safe region, cheaper answers).
 func BenchmarkAblationApproxK(b *testing.B) {
 	s := benchSuite(b, datagen.CarDB)
+	pool := engineAt(s, runtime.GOMAXPROCS(0)) // builds the stores faster
 	for _, k := range []int{2, 5, 10, 20, 40} {
-		store := s.Engine.BuildApproxStoreParallel(rslCustomers(s), k, 0, 0)
+		store := pool.BuildApproxStore(rslCustomers(s), k, 0)
 		b.Run(benchName("k", k), func(b *testing.B) {
 			e := s.Engine
 			qc := s.Cases[len(s.Cases)-1]
@@ -31,6 +33,14 @@ func BenchmarkAblationApproxK(b *testing.B) {
 			}
 		})
 	}
+}
+
+// engineAt rebuilds the suite's engine over a DB whose per-customer loops run
+// on the given number of workers.
+func engineAt(s *experiments.Suite, workers int) *whynot.Engine {
+	db := rskyline.NewDB(2, s.Items, rtree.Config{})
+	db.SetWorkers(workers)
+	return whynot.NewEngine(db, true)
 }
 
 // rslCustomers collects the distinct reverse-skyline customers across the
@@ -125,20 +135,19 @@ func BenchmarkAblationRegionPrune(b *testing.B) {
 	})
 }
 
-// Ablation 5: serial vs parallel approximate-store precomputation.
+// Ablation 5: approximate-store precomputation on DBs built at 1 (serial),
+// 2, 4 and GOMAXPROCS workers.
 func BenchmarkAblationStoreBuild(b *testing.B) {
 	s := benchSuite(b, datagen.CarDB)
 	customers := rslCustomers(s)
-	b.Run("serial", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			s.Engine.BuildApproxStore(customers, 10, 0)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			s.Engine.BuildApproxStoreParallel(customers, 10, 0, 0)
-		}
-	})
+	for _, w := range workerCounts() {
+		e := engineAt(s, w)
+		b.Run(benchName("workers", w), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				e.BuildApproxStore(customers, 10, 0)
+			}
+		})
+	}
 }
 
 func benchName(prefix string, v int) string {

@@ -374,7 +374,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		sp.mark()
 		t0 := time.Now()
-		built, err := db.BuildApproxStoreParallelContext(ctx, rsl, *k, db.Workers())
+		built, err := db.BuildApproxStoreContext(ctx, rsl, *k)
 		if err != nil {
 			return err
 		}
@@ -460,7 +460,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			Timeout: *timeout,
 			Degrade: *degrade,
 			Store:   store,
-			Workers: db.Workers(),
 		}
 		if observe {
 			cfg.Metrics = engine.NewMetrics(db.Metrics())

@@ -49,36 +49,47 @@ func TestExplainPlanGoldenWorkedExample(t *testing.T) {
 		}
 	})
 
+	// The plan, fingerprint included, is the same on a DB whose safe region
+	// fans out over two workers.
 	t.Run("mwq", func(t *testing.T) {
-		rsl := db.ReverseSkyline(items, q)
-		if len(rsl) != 5 {
-			t.Fatalf("|RSL(q)| = %d, want 5 (worked example broke)", len(rsl))
+		for _, mdb := range []*DB{db, NewDBWithOptions(2, items, DBOptions{Parallelism: 2})} {
+			explainMWQGolden(t, mdb, items, q, ct)
 		}
-		res, plan, err := db.MWQExactExplain(context.Background(), ct, q, rsl, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Case != 2 {
-			t.Fatalf("case = C%d, want C2 (safe region cannot reach customer 1)", res.Case)
-		}
-		const want = `plan mwq dims=2 rung=exact fp=5f968168f11c7ae0
+	})
+}
+
+// explainMWQGolden checks the worked example's exact-MWQ plan on db against
+// the pinned rendering.
+func explainMWQGolden(t *testing.T, db *DB, items []Item, q Point, ct Item) {
+	t.Helper()
+	rsl := db.ReverseSkyline(items, q)
+	if len(rsl) != 5 {
+		t.Fatalf("|RSL(q)| = %d, want 5 (worked example broke)", len(rsl))
+	}
+	res, plan, err := db.MWQExactExplain(context.Background(), ct, q, rsl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Case != 2 {
+		t.Fatalf("case = C%d, want C2 (safe region cannot reach customer 1)", res.Case)
+	}
+	const want = `plan mwq dims=2 rung=exact fp=5f968168f11c7ae0
   mwq acc=9 leaf=9 levels=[L0:9] rtree_pruned=24 dt=37 wq=3 cand=5 pruned=6
     saferegion.exact rule=safe-region in=5 out=2 prune=60.0% acc=5 leaf=5 levels=[L0:5] rtree_pruned=19 dt=19 wq=0 cand=0 pruned=0
     mwq acc=4 leaf=4 levels=[L0:4] rtree_pruned=5 dt=18 wq=3 cand=5 pruned=6
       mwq.overlap rule=safe-region in=2 out=0 prune=100.0% acc=1 leaf=1 levels=[L0:1] rtree_pruned=5 dt=1 wq=0 cand=0 pruned=0
       mwq.corners rule=midpoint in=8 out=2 prune=75.0% acc=2 leaf=2 levels=[L0:2] dt=16 wq=2 cand=5 pruned=6
 `
-		if got := plan.StableString(); got != want {
-			t.Errorf("mwq plan drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	if got := plan.StableString(); got != want {
+		t.Errorf("workers=%d: mwq plan drifted:\n--- got ---\n%s--- want ---\n%s", db.Workers(), got, want)
+	}
+	// The timed rendering of the same plan carries estimates and deltas.
+	timed := plan.String()
+	for _, frag := range []string{"est=", "act=", "total="} {
+		if !strings.Contains(timed, frag) {
+			t.Errorf("timed rendering missing %q:\n%s", frag, timed)
 		}
-		// The timed rendering of the same plan carries estimates and deltas.
-		timed := plan.String()
-		for _, frag := range []string{"est=", "act=", "total="} {
-			if !strings.Contains(timed, frag) {
-				t.Errorf("timed rendering missing %q:\n%s", frag, timed)
-			}
-		}
-	})
+	}
 }
 
 // TestExplainFingerprintFeedsStore: a profiled query lands in the DB's

@@ -187,7 +187,12 @@ func degradeReason(err error) string {
 	}
 }
 
-// Config tunes a Runner.
+// Config tunes a Runner. It holds no worker count: the exact and
+// approximate rungs fan their per-member anti-dominance regions out over the
+// workers of the engine's database (rskyline.DB.SetWorkers, which the repro
+// facade sets from DBOptions.Parallelism). The cooperative checkpoints keep
+// firing inside the pool, so per-rung timeouts and fault injection behave
+// the same at every worker count.
 type Config struct {
 	// Timeout is the per-rung budget; each rung of the ladder gets a fresh
 	// timeout derived from the caller's context. Zero means no per-rung
@@ -202,12 +207,6 @@ type Config struct {
 	Store *whynot.ApproxStore
 	// Options are passed to the underlying algorithms.
 	Options whynot.Options
-	// Workers is the parallelism of the exact rung's safe-region
-	// construction: 0 or 1 runs sequentially, n > 1 fans the per-customer
-	// anti-dominance regions out over n goroutines (internal/exec). The
-	// cooperative checkpoints keep firing inside the pool, so per-rung
-	// timeouts and fault injection behave as in the sequential rung.
-	Workers int
 	// Metrics, when non-nil, receives per-rung attempt/failure/duration and
 	// degradation recordings.
 	Metrics *Metrics
@@ -255,11 +254,7 @@ func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []wh
 	var res whynot.MWQResult
 	err := r.gatedRung(ctx, RungExact, "exact MWQ", func(rctx context.Context) error {
 		var e error
-		if r.Cfg.Workers > 1 {
-			res, e = r.Engine.MWQExactParallelCtx(rctx, ct, q, rsl, r.Cfg.Options, r.Cfg.Workers)
-		} else {
-			res, e = r.Engine.MWQExactCtx(rctx, ct, q, rsl, r.Cfg.Options)
-		}
+		res, e = r.Engine.MWQExactCtx(rctx, ct, q, rsl, r.Cfg.Options)
 		return e
 	})
 	if err == nil {

@@ -193,19 +193,23 @@ func TestMWPFallback(t *testing.T) {
 
 // TestPanicBecomesQueryError: an injected panic deep inside safe-region
 // construction must surface as a structured *QueryError with the recovered
-// value and a stack, not crash the caller.
+// value and a stack, not crash the caller — and the report must read the
+// same whether the panicking member ran inline or on a pool worker.
 func TestPanicBecomesQueryError(t *testing.T) {
-	f := newFixture(t)
-	inj := faultinject.New(faultinject.Rule{Site: cancel.SiteSafeRegion, OnVisit: 2, Panic: "injected: corrupt node"})
-	ctx := cancel.WithHook(context.Background(), inj)
-	r := NewRunner(f.e, Config{Timeout: time.Second})
-	_, err := r.MWQ(ctx, f.ct, f.q, f.rsl)
-	var qe *QueryError
-	if !errors.As(err, &qe) {
-		t.Fatalf("want *QueryError, got %T: %v", err, err)
-	}
-	if qe.Panic != "injected: corrupt node" || len(qe.Stack) == 0 || qe.Op != "exact MWQ" {
-		t.Fatalf("incomplete panic report: %+v", qe)
+	for _, workers := range []int{1, 2} {
+		f := newFixture(t)
+		f.e.DB.SetWorkers(workers)
+		inj := faultinject.New(faultinject.Rule{Site: cancel.SiteSafeRegion, OnVisit: 2, Panic: "injected: corrupt node"})
+		ctx := cancel.WithHook(context.Background(), inj)
+		r := NewRunner(f.e, Config{Timeout: time.Second})
+		_, err := r.MWQ(ctx, f.ct, f.q, f.rsl)
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			t.Fatalf("workers=%d: want *QueryError, got %T: %v", workers, err, err)
+		}
+		if qe.Panic != "injected: corrupt node" || len(qe.Stack) == 0 || qe.Op != "exact MWQ" {
+			t.Fatalf("workers=%d: incomplete panic report: %+v", workers, qe)
+		}
 	}
 }
 

@@ -14,12 +14,13 @@
 //     fault-injection hooks keep working inside parallel sections;
 //   - the first error wins and stops further work; remaining jobs drain
 //     without running;
-//   - a panic in any worker is re-raised on the calling goroutine after all
-//     workers have exited, so recovery middleware above the pool still sees
-//     it and no goroutine leaks;
-//   - workers <= 1 runs inline on the calling goroutine with sequential
-//     semantics, so the parallel entry points degrade to exactly the
-//     single-threaded behaviour when parallelism is disabled.
+//   - a panic in any worker is re-raised, with its original value, on the
+//     calling goroutine after all workers have exited, so recovery
+//     middleware above the pool still sees it, reads the same at every
+//     worker count, and no goroutine leaks;
+//   - one worker runs the jobs inline on the calling goroutine (ForEachChecked
+//     keeps using the caller's checker), so a one-worker fan-out is exactly
+//     the sequential loop and no operation needs a second body for it.
 package exec
 
 import (
@@ -52,11 +53,28 @@ func Resolve(workers, n int) int {
 // the per-worker checker fires a checkpoint at site, so deadlines and
 // fault-injection rules behave as in the sequential loops. The first error
 // returned by any fn stops the pool and is returned; a panic in any fn is
-// re-raised on the calling goroutine once every worker has drained.
+// re-raised, unchanged, on the calling goroutine once every worker has
+// drained.
 //
 // fn must be safe to call concurrently for distinct i; writes to shared
 // output should go to per-index slots (out[i] = ...), which needs no locking.
 func ForEach(ctx context.Context, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
+	return forEach(ctx, nil, n, workers, site, fn)
+}
+
+// ForEachChecked is ForEach for call sites that hold a *cancel.Checker
+// rather than a context (the internal checked paths). The workers are built
+// from the checker's underlying context, so hooks and deadlines carry over;
+// with one worker the jobs run on chk itself, exactly as the caller's own
+// loop would.
+func ForEachChecked(chk *cancel.Checker, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
+	return forEach(chk.Context(), chk, n, workers, site, fn)
+}
+
+// forEach is the shared body. chk, when non-nil, is the caller's checker for
+// ctx and serves the inline path; nil builds one from ctx (a nil checker's
+// context is nil too, so both yield the same zero-overhead checker).
+func forEach(ctx context.Context, chk *cancel.Checker, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -68,7 +86,9 @@ func ForEach(ctx context.Context, n, workers int, site string, fn func(chk *canc
 	m := obs.ExecFrom(ctx)
 	workers = Resolve(workers, n)
 	if workers == 1 {
-		chk := cancel.FromContext(ctx)
+		if chk == nil {
+			chk = cancel.FromContext(ctx)
+		}
 		if m != nil {
 			m.InlineRuns.Inc()
 			m.Jobs.Add(uint64(n))
@@ -140,11 +160,4 @@ func ForEach(ctx context.Context, n, workers int, site string, fn func(chk *canc
 	close(jobs)
 	pool.wg.Wait()
 	return pool.finish()
-}
-
-// ForEachChecked is ForEach for call sites that hold a *cancel.Checker
-// rather than a context (the internal checked paths). The workers are built
-// from the checker's underlying context, so hooks and deadlines carry over.
-func ForEachChecked(chk *cancel.Checker, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
-	return ForEach(chk.Context(), n, workers, site, fn)
 }

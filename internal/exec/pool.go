@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/cancel"
@@ -52,10 +51,11 @@ func (p *pool) run(chk *cancel.Checker, i int, site string, fn func(chk *cancel.
 }
 
 // finish reports the pool outcome after wg.Wait: re-raise the first panic on
-// the caller, otherwise return the first error.
+// the caller with its original value, so a recovered panic reads the same at
+// every worker count; otherwise return the first error.
 func (p *pool) finish() error {
 	if p.panicked {
-		panic(fmt.Sprintf("exec: worker panicked: %v", p.firstPanic))
+		panic(p.firstPanic)
 	}
 	return p.firstErr
 }

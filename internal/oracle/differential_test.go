@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -16,9 +17,9 @@ import (
 )
 
 // The differential suite runs every optimised query path — branch-and-bound
-// traversals, the BBRS pipeline, the parallel variants and the memoised
-// caches — against the package's brute-force oracles on seeded UN/CO/AC
-// datasets in 2, 3 and 4 dimensions.
+// traversals, the BBRS pipeline, DBs built at several worker counts and the
+// memoised caches — against the package's brute-force oracles on seeded
+// UN/CO/AC datasets in 2, 3 and 4 dimensions.
 
 var kinds = []struct {
 	name string
@@ -52,6 +53,18 @@ func newFixture(kind datagen.Kind, d, nProducts, nCustomers int, seed int64) fix
 		db:        rskyline.NewDB(d, products, rtree.Config{}),
 		rng:       rand.New(rand.NewSource(seed + 2)),
 	}
+}
+
+// parallelCounts are the worker counts the fanned-out paths are compared at
+// against the sequential fixture DB.
+func parallelCounts() []int { return []int{2, 4, runtime.GOMAXPROCS(0)} }
+
+// dbAt indexes the fixture's products in a fresh DB whose per-customer loops
+// run on the given number of workers.
+func (f fixture) dbAt(workers int) *rskyline.DB {
+	db := rskyline.NewDB(f.db.Dims(), f.products, rtree.Config{})
+	db.SetWorkers(workers)
+	return db
 }
 
 // queryPoint draws a continuous position inside the product universe;
@@ -151,6 +164,10 @@ func TestDynamicSkylineCachedAgreesWithOracle(t *testing.T) {
 
 func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, f fixture) {
+		var pdbs []*rskyline.DB
+		for _, w := range parallelCounts() {
+			pdbs = append(pdbs, f.dbAt(w))
+		}
 		for i := 0; i < 4; i++ {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.customers, q)
@@ -158,18 +175,9 @@ func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 			sameIDs(t, "RSL direct", f.db.ReverseSkyline(f.customers, q), want)
 			sameIDs(t, "RSL filtered", f.db.ReverseSkylineFiltered(f.customers, q), want)
 
-			for _, workers := range []int{2, 4, 0} {
-				got, err := f.db.ReverseSkylineParallel(context.Background(), f.customers, q, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", workers), got, want)
-
-				got, err = f.db.ReverseSkylineFilteredParallel(context.Background(), f.customers, q, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameIDs(t, fmt.Sprintf("RSL filtered parallel w=%d", workers), got, want)
+			for _, db := range pdbs {
+				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", db.Workers()), db.ReverseSkyline(f.customers, q), want)
+				sameIDs(t, fmt.Sprintf("RSL filtered parallel w=%d", db.Workers()), db.ReverseSkylineFiltered(f.customers, q), want)
 			}
 		}
 	})
@@ -180,21 +188,23 @@ func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 // window queries.
 func TestBBRSAgreesWithOracle(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, f fixture) {
+		var pdbs []*rskyline.DB
+		for _, w := range parallelCounts() {
+			pdbs = append(pdbs, f.dbAt(w))
+		}
 		for i := 0; i < 4; i++ {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.products, q)
 			sameIDs(t, "BBRS", f.db.ReverseSkylineBBRS(q), want)
-			got, err := f.db.ReverseSkylineBBRSParallel(context.Background(), q, 4)
-			if err != nil {
-				t.Fatal(err)
+			for _, db := range pdbs {
+				sameIDs(t, fmt.Sprintf("BBRS parallel w=%d", db.Workers()), db.ReverseSkylineBBRS(q), want)
 			}
-			sameIDs(t, "BBRS parallel", got, want)
 		}
 	})
 }
 
 // TestSafeRegionMembershipAgreesWithOracle compares constructed safe regions
-// — sequential, parallel, and cached — against the semantic oracle (every
+// — sequential, on DBs built at several worker counts, and cached — against the semantic oracle (every
 // RSL member retained) at sampled continuous positions, and checks the three
 // constructions are equivalent as regions. Dimensions are capped at 3: the
 // exact anti-DDR staircase is built from a d-dimensional corner grid whose
@@ -204,6 +214,10 @@ func TestBBRSAgreesWithOracle(t *testing.T) {
 func TestSafeRegionMembershipAgreesWithOracle(t *testing.T) {
 	forEachConfigMaxDim(t, 3, func(t *testing.T, f fixture) {
 		eng := whynot.NewEngine(f.db, false)
+		var peng []*whynot.Engine
+		for _, w := range parallelCounts() {
+			peng = append(peng, whynot.NewEngine(f.dbAt(w), false))
+		}
 		cachedDB := rskyline.NewDB(f.db.Dims(), f.products, rtree.Config{})
 		cachedDB.EnableDSLCache(64)
 		cachedEng := whynot.NewEngine(cachedDB, false)
@@ -223,18 +237,20 @@ func TestSafeRegionMembershipAgreesWithOracle(t *testing.T) {
 			}
 
 			seq := eng.SafeRegion(q, rsl)
-			par, err := eng.SafeRegionParallel(context.Background(), q, rsl, 4)
-			if err != nil {
-				t.Fatal(err)
+			for _, pe := range peng {
+				par, err := pe.SafeRegionCtx(context.Background(), q, rsl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !region.Equivalent(seq, par) {
+					t.Fatalf("parallel (w=%d) safe region differs from sequential (q=%v, |rsl|=%d)", pe.DB.Workers(), q, len(rsl))
+				}
 			}
 			// Warm the caches with a first construction, then use the cached
 			// result, which must still agree.
 			cachedEng.SafeRegion(q, rsl)
 			cached := cachedEng.SafeRegion(q, rsl)
 
-			if !region.Equivalent(seq, par) {
-				t.Fatalf("parallel safe region differs from sequential (q=%v, |rsl|=%d)", q, len(rsl))
-			}
 			if !region.Equivalent(seq, cached) {
 				t.Fatalf("cached safe region differs from sequential (q=%v, |rsl|=%d)", q, len(rsl))
 			}

@@ -1,8 +1,8 @@
 package rskyline
 
 import (
-	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -98,15 +98,23 @@ func TestConcurrentMutationNeverServesStaleDSL(t *testing.T) {
 }
 
 // TestConcurrentParallelQueriesDuringMutation races the worker-pool query
-// paths themselves (parallel reverse skylines, parallel BBRS) against
-// Insert/Delete churn — the tree read-lock discipline under -race.
+// paths themselves (reverse skylines and BBRS on DBs built at 2, 4 and
+// GOMAXPROCS workers) against Insert/Delete churn — the tree read-lock
+// discipline under -race.
 func TestConcurrentParallelQueriesDuringMutation(t *testing.T) {
+	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		raceQueriesAgainstMutation(t, w)
+	}
+}
+
+func raceQueriesAgainstMutation(t *testing.T, workers int) {
 	rng := rand.New(rand.NewSource(7))
 	base := make([]Item, 0, 80)
 	for i := 0; i < 80; i++ {
 		base = append(base, Item{ID: i + 1, Point: geom.NewPoint(rng.Float64()*100, rng.Float64()*100)})
 	}
 	db := NewDB(2, base, rtree.Config{})
+	db.SetWorkers(workers)
 	db.EnableDSLCache(32)
 
 	var wg sync.WaitGroup
@@ -131,11 +139,14 @@ func TestConcurrentParallelQueriesDuringMutation(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if _, err := db.ReverseSkylineParallel(context.Background(), base, q, 4); err != nil {
-			t.Fatalf("parallel RSL: %v", err)
+		if _, err := db.ReverseSkylineChecked(nil, base, q); err != nil {
+			t.Fatalf("workers=%d: parallel RSL: %v", workers, err)
 		}
-		if _, err := db.ReverseSkylineBBRSParallel(context.Background(), q, 4); err != nil {
-			t.Fatalf("parallel BBRS: %v", err)
+		if _, err := db.ReverseSkylineFilteredChecked(nil, base, q); err != nil {
+			t.Fatalf("workers=%d: parallel filtered RSL: %v", workers, err)
+		}
+		if _, err := db.ReverseSkylineBBRSChecked(nil, q); err != nil {
+			t.Fatalf("workers=%d: parallel BBRS: %v", workers, err)
 		}
 	}
 	close(stop)

@@ -11,7 +11,6 @@
 package rskyline
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +57,10 @@ type DB struct {
 	itemCache []Item
 	// dsl memoises dynamic skylines per customer ID (nil = caching off).
 	dsl *exec.Cache[int, dslEntry]
+	// workers sizes every per-customer fan-out on this DB (reverse-skyline
+	// verification here, the safe-region, batch and store loops of
+	// internal/whynot); 1, the NewDB default, runs them inline.
+	workers int
 }
 
 // dslEntry is one cached dynamic skyline. Point and exclude are stored so a
@@ -73,8 +76,18 @@ type dslEntry struct {
 // NewDB bulk-loads the products into an R*-tree. The paper's page-size-1536
 // configuration is used when cfg is the zero value.
 func NewDB(dims int, products []Item, cfg rtree.Config) *DB {
-	return &DB{tree: rtree.BulkLoad(dims, products, cfg), dims: dims}
+	return &DB{tree: rtree.BulkLoad(dims, products, cfg), dims: dims, workers: 1}
 }
+
+// SetWorkers fixes the worker count of every per-customer fan-out on this DB
+// (n < 1 means 1). Call during setup, before the DB is shared between
+// goroutines, as with EnableDSLCache.
+func (db *DB) SetWorkers(n int) {
+	db.workers = max(n, 1)
+}
+
+// Workers returns the worker count set by SetWorkers (1 by default).
+func (db *DB) Workers() int { return db.workers }
 
 // EnableDSLCache turns on memoisation of per-customer dynamic skylines,
 // bounded to capacity entries (<= 0 disables). Call during setup, before the
@@ -354,20 +367,7 @@ func (db *DB) ReverseSkyline(customers []Item, q geom.Point) []Item {
 // ReverseSkylineChecked is ReverseSkyline with a cancellation checkpoint per
 // customer (each customer costs one window-existence query).
 func (db *DB) ReverseSkylineChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	var out []Item
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
-		if in {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return db.verify(chk, customers, q)
 }
 
 // ReverseSkylineFiltered computes RSL(q) with the global-skyline candidate
@@ -381,13 +381,26 @@ func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
 }
 
 // ReverseSkylineFilteredChecked is ReverseSkylineFiltered with a cancellation
-// checkpoint per candidate customer.
+// checkpoint per customer.
 func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
+	cands, err := db.globalFilter(chk, customers, q)
+	if err != nil {
+		return nil, err
+	}
+	return db.verify(chk, cands, q)
+}
+
+// globalFilter is the sequential filter pass of ReverseSkylineFiltered: it
+// keeps, in input order, the customers no global-skyline product dominates
+// with respect to q. The pass is a few dominance tests per customer, far
+// cheaper than handing each customer to a worker, so only its survivors fan
+// out.
+func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
 	if err := chk.Err(); err != nil {
 		return nil, err
 	}
 	gsp := skyline.GlobalSkyline(db.Items(), q)
-	var out []Item
+	var cands []Item
 	dt := 0
 	gdPruned := 0 // customers eliminated by the global-dominance filter
 	defer func() {
@@ -412,15 +425,9 @@ func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Ite
 			gdPruned++
 			continue
 		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
-		if in {
-			out = append(out, c)
-		}
+		cands = append(cands, c)
 	}
-	return out, nil
+	return cands, nil
 }
 
 // ReverseSkylineMono computes RSL(q) in the monochromatic setting where the
@@ -429,12 +436,7 @@ func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Ite
 // dominated by any product, the candidates are exactly the global skyline of
 // the dataset, so only |GSP| window queries run instead of |P|.
 func (db *DB) ReverseSkylineMono(q geom.Point) []Item {
-	var out []Item
-	for _, c := range skyline.GlobalSkyline(db.Items(), q) {
-		if db.IsReverseSkyline(c, q) {
-			out = append(out, c)
-		}
-	}
+	out, _ := db.verify(nil, skyline.GlobalSkyline(db.Items(), q), q)
 	return out
 }
 
@@ -451,23 +453,34 @@ func (db *DB) ReverseSkylineBBRS(q geom.Point) []Item {
 
 // ReverseSkylineBBRSChecked is ReverseSkylineBBRS with cooperative
 // cancellation in both the candidate traversal and the per-candidate
-// verification loop.
+// verification.
 func (db *DB) ReverseSkylineBBRSChecked(chk *cancel.Checker, q geom.Point) ([]Item, error) {
 	cands, err := db.globalSkylineBBS(chk, q)
 	if err != nil {
 		return nil, err
 	}
+	return db.verify(chk, cands, q)
+}
+
+// verify is the refinement step every reverse-skyline variant ends in: one
+// window-existence test per candidate, fanned out over the DB's workers with
+// a SiteCustomer checkpoint per candidate. Membership flags land in
+// per-index slots, so the members come back in candidate order at every
+// worker count.
+func (db *DB) verify(chk *cancel.Checker, cands []Item, q geom.Point) ([]Item, error) {
+	in := make([]bool, len(cands))
+	err := exec.ForEachChecked(chk, len(cands), db.workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
+		member, err := db.IsReverseSkylineChecked(chk, cands[i], q)
+		in[i] = member
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []Item
-	for _, c := range cands {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
-		if in {
-			out = append(out, c)
+	for i, ok := range in {
+		if ok {
+			out = append(out, cands[i])
 		}
 	}
 	return out, nil
@@ -541,111 +554,4 @@ func (db *DB) DynamicSkylineOfChecked(chk *cancel.Checker, c Item, excludeID int
 	// the traversal the entry is already stale and will never be served.
 	db.dsl.Put(c.ID, dslEntry{point: c.Point.Clone(), exclude: excludeID, gen: gen, items: out})
 	return out, nil
-}
-
-// --- Parallel reverse-skyline variants --------------------------------------
-//
-// Each variant fans the per-customer verification loop of its sequential
-// counterpart out over an internal/exec worker pool and returns an identical,
-// deterministically ordered result: membership flags land in per-index slots
-// and the output is assembled in input order afterwards. workers <= 1 runs
-// the sequential code path unchanged.
-
-// ReverseSkylineParallel is ReverseSkyline with the per-customer window
-// queries fanned out over workers goroutines (0 = GOMAXPROCS).
-func (db *DB) ReverseSkylineParallel(ctx context.Context, customers []Item, q geom.Point, workers int) ([]Item, error) {
-	if exec.Resolve(workers, len(customers)) == 1 {
-		return db.ReverseSkylineChecked(cancel.FromContext(ctx), customers, q)
-	}
-	in := make([]bool, len(customers))
-	err := exec.ForEach(ctx, len(customers), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		member, err := db.IsReverseSkylineChecked(chk, customers[i], q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(customers, in), nil
-}
-
-// ReverseSkylineFilteredParallel is ReverseSkylineFiltered with the
-// per-candidate verification fanned out over workers goroutines.
-func (db *DB) ReverseSkylineFilteredParallel(ctx context.Context, customers []Item, q geom.Point, workers int) ([]Item, error) {
-	if exec.Resolve(workers, len(customers)) == 1 {
-		return db.ReverseSkylineFilteredChecked(cancel.FromContext(ctx), customers, q)
-	}
-	gsp := skyline.GlobalSkyline(db.Items(), q)
-	in := make([]bool, len(customers))
-	err := exec.ForEach(ctx, len(customers), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		c := customers[i]
-		dt := 0 // batched per job: workers share the global counter
-		for _, p := range gsp {
-			if p.ID != c.ID {
-				dt++
-				if skyline.GlobalDominates(q, p.Point, c.Point) {
-					obs.AddDominanceTests(dt)
-					obs.AddPruned(1)
-					return nil // pruned: cannot be a reverse-skyline member
-				}
-			}
-		}
-		obs.AddDominanceTests(dt)
-		member, err := db.IsReverseSkylineChecked(chk, c, q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(customers, in), nil
-}
-
-// ReverseSkylineBBRSParallel is ReverseSkylineBBRS with the per-candidate
-// verification fanned out over workers goroutines; the branch-and-bound
-// candidate traversal itself stays sequential (it is a tiny fraction of the
-// work and inherently ordered).
-func (db *DB) ReverseSkylineBBRSParallel(ctx context.Context, q geom.Point, workers int) ([]Item, error) {
-	chk := cancel.FromContext(ctx)
-	cands, err := db.globalSkylineBBS(chk, q)
-	if err != nil {
-		return nil, err
-	}
-	if exec.Resolve(workers, len(cands)) == 1 {
-		var out []Item
-		for _, c := range cands {
-			if err := chk.Point(cancel.SiteCustomer); err != nil {
-				return nil, err
-			}
-			in, err := db.IsReverseSkylineChecked(chk, c, q)
-			if err != nil {
-				return nil, err
-			}
-			if in {
-				out = append(out, c)
-			}
-		}
-		return out, nil
-	}
-	in := make([]bool, len(cands))
-	err = exec.ForEach(ctx, len(cands), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		member, err := db.IsReverseSkylineChecked(chk, cands[i], q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(cands, in), nil
-}
-
-// selectMembers assembles the positionally flagged members in input order.
-func selectMembers(customers []Item, in []bool) []Item {
-	var out []Item
-	for i, ok := range in {
-		if ok {
-			out = append(out, customers[i])
-		}
-	}
-	return out
 }

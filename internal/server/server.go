@@ -49,8 +49,10 @@ import (
 type Config struct {
 	// Dataset is the boot dataset.
 	Dataset DatasetSpec
-	// Workers is the engine parallelism per query (repro convention:
-	// 0 → sequential, <0 → GOMAXPROCS).
+	// Workers is each snapshot DB's repro.DBOptions.Parallelism
+	// (0 → sequential, <0 → GOMAXPROCS), the one worker count every query
+	// on it uses: reverse-skyline verification, the safe-region rungs of the
+	// degradation ladder and the approximate-store build.
 	Workers int
 	// CacheSize bounds the per-customer memoisation caches (0 = off).
 	CacheSize int
@@ -574,7 +576,6 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		Timeout: s.cfg.RungTimeout,
 		Degrade: true,
 		Store:   snap.Store,
-		Workers: snap.DB.Workers(),
 		Metrics: s.engMetrics,
 		Gate:    s.breakers,
 	})

@@ -103,7 +103,7 @@ func snapshotFromItems(ctx context.Context, items []repro.Item, name string, bui
 		if k <= 0 {
 			k = 10
 		}
-		store, err := db.BuildApproxStoreParallelContext(ctx, items, k, db.Workers())
+		store, err := db.BuildApproxStoreContext(ctx, items, k)
 		if err != nil {
 			return nil, fmt.Errorf("server: approximate store build: %w", err)
 		}

@@ -21,24 +21,20 @@ func (e *Engine) MWQBatch(cts []Item, q geom.Point, rsl []Item, opt Options) []M
 
 // MWQBatchCtx is MWQBatch with deadline/cancellation support.
 func (e *Engine) MWQBatchCtx(ctx context.Context, cts []Item, q geom.Point, rsl []Item, opt Options) ([]MWQResult, error) {
-	chk, err := entry(ctx)
+	if _, err := entry(ctx); err != nil {
+		return nil, err
+	}
+	sr, err := e.safeRegionPhase(ctx, q, rsl, nil)
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.TraceFrom(ctx)
-	endSR := tr.StartSpan("saferegion.exact")
-	sr, err := e.safeRegion(chk, q, rsl)
-	endSR()
-	if err != nil {
-		return nil, err
-	}
-	return e.mwqBatchWithRegion(chk, tr, cts, q, sr, opt)
+	return e.mwqBatch(ctx, cts, q, sr, opt)
 }
 
 // MWQBatchWithRegion runs Algorithm 4 for every customer against a shared
 // precomputed safe region.
 func (e *Engine) MWQBatchWithRegion(cts []Item, q geom.Point, sr region.Set, opt Options) []MWQResult {
-	out, _ := e.mwqBatchWithRegion(nil, nil, cts, q, sr, opt)
+	out, _ := e.mwqBatch(nil, cts, q, sr, opt)
 	return out
 }
 
@@ -46,62 +42,25 @@ func (e *Engine) MWQBatchWithRegion(cts []Item, q geom.Point, sr region.Set, opt
 // support: the checkpoint fires once per why-not question on top of the
 // checkpoints inside each question.
 func (e *Engine) MWQBatchWithRegionCtx(ctx context.Context, cts []Item, q geom.Point, sr region.Set, opt Options) ([]MWQResult, error) {
-	chk, err := entry(ctx)
-	if err != nil {
+	if _, err := entry(ctx); err != nil {
 		return nil, err
 	}
-	return e.mwqBatchWithRegion(chk, obs.TraceFrom(ctx), cts, q, sr, opt)
+	return e.mwqBatch(ctx, cts, q, sr, opt)
 }
 
-func (e *Engine) mwqBatchWithRegion(chk *cancel.Checker, tr *obs.Trace, cts []Item, q geom.Point, sr region.Set, opt Options) ([]MWQResult, error) {
-	out := make([]MWQResult, len(cts))
-	for i, ct := range cts {
-		if err := chk.Point(cancel.SiteBatchItem); err != nil {
-			return nil, err
-		}
-		res, err := e.mwq(chk, tr, nil, ct, q, sr, opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// MWQBatchParallel fans MWQBatchWithRegion out over workers goroutines
-// (0 = GOMAXPROCS). Each question only reads the index and the shared safe
-// region, so results are identical to the serial batch.
-func (e *Engine) MWQBatchParallel(cts []Item, q geom.Point, sr region.Set, opt Options, workers int) []MWQResult {
-	out, _ := e.mwqBatchParallel(nil, cts, q, sr, opt, workers)
-	return out
-}
-
-// MWQBatchParallelCtx is MWQBatchParallel with deadline/cancellation support.
-// Each worker polls the context through its own checker (checkers are
-// per-goroutine); the first error wins and the batch returns nil. A panic in
-// any worker is re-raised on the calling goroutine once all workers have
-// drained, so recovery middleware above the batch still sees it.
-func (e *Engine) MWQBatchParallelCtx(ctx context.Context, cts []Item, q geom.Point, sr region.Set, opt Options, workers int) ([]MWQResult, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return e.mwqBatchParallel(ctx, cts, q, sr, opt, workers)
-}
-
-func (e *Engine) mwqBatchParallel(ctx context.Context, cts []Item, q geom.Point, sr region.Set, opt Options, workers int) ([]MWQResult, error) {
+// mwqBatch answers the questions on the DB's workers. Each question only
+// reads the index and the shared safe region, and results land in per-index
+// slots, so the answers are the same at every worker count. The first error
+// wins and the batch returns nil.
+func (e *Engine) mwqBatch(ctx context.Context, cts []Item, q geom.Point, sr region.Set, opt Options) ([]MWQResult, error) {
 	out := make([]MWQResult, len(cts))
 	// The trace is shared across workers: span/event recording is lock-free
 	// and safe for concurrent writers.
 	tr := obs.TraceFrom(ctx)
-	err := exec.ForEach(ctx, len(cts), workers, cancel.SiteBatchItem, func(chk *cancel.Checker, i int) error {
+	err := exec.ForEach(ctx, len(cts), e.DB.Workers(), cancel.SiteBatchItem, func(chk *cancel.Checker, i int) error {
 		res, err := e.mwq(chk, tr, nil, cts[i], q, sr, opt)
-		if err != nil {
-			return err
-		}
 		out[i] = res
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package whynot
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -37,25 +38,46 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	}
 	sr := e.SafeRegion(q, rsl)
 	batch := e.MWQBatch(cts, q, rsl, Options{})
-	parallel := e.MWQBatchParallel(cts, q, sr, Options{}, 4)
-	if len(batch) != len(cts) || len(parallel) != len(cts) {
-		t.Fatalf("batch sizes: %d / %d for %d customers", len(batch), len(parallel), len(cts))
+	if len(batch) != len(cts) {
+		t.Fatalf("batch size %d for %d customers", len(batch), len(cts))
 	}
+	singles := make([]MWQResult, len(cts))
 	for i, ct := range cts {
-		single := e.MWQ(ct, q, sr, Options{})
-		if batch[i].Cost != single.Cost || batch[i].Case != single.Case {
+		singles[i] = e.MWQ(ct, q, sr, Options{})
+		if batch[i].Cost != singles[i].Cost || batch[i].Case != singles[i].Case {
 			t.Fatalf("batch[%d] diverges from single: %v/%v vs %v/%v",
-				i, batch[i].Cost, batch[i].Case, single.Cost, single.Case)
-		}
-		if parallel[i].Cost != single.Cost || parallel[i].Case != single.Case {
-			t.Fatalf("parallel[%d] diverges from single", i)
-		}
-		if !parallel[i].QStar.Equal(single.QStar) || !parallel[i].CtStar.Equal(single.CtStar) {
-			t.Fatalf("parallel[%d] chose different points", i)
+				i, batch[i].Cost, batch[i].Case, singles[i].Cost, singles[i].Case)
 		}
 	}
-	// Empty batch is fine.
-	if got := e.MWQBatchParallel(nil, q, sr, Options{}, 0); len(got) != 0 {
-		t.Fatal("empty batch should yield empty results")
+	for _, w := range workerCounts() {
+		pe := engineAt(products, w)
+		parallel := pe.MWQBatchWithRegion(cts, q, sr, Options{})
+		if len(parallel) != len(cts) {
+			t.Fatalf("workers=%d: batch size %d for %d customers", w, len(parallel), len(cts))
+		}
+		for i, single := range singles {
+			if parallel[i].Cost != single.Cost || parallel[i].Case != single.Case {
+				t.Fatalf("workers=%d: parallel[%d] diverges from single", w, i)
+			}
+			if !parallel[i].QStar.Equal(single.QStar) || !parallel[i].CtStar.Equal(single.CtStar) {
+				t.Fatalf("workers=%d: parallel[%d] chose different points", w, i)
+			}
+		}
+		// Empty batch is fine.
+		if got := pe.MWQBatchWithRegion(nil, q, sr, Options{}); len(got) != 0 {
+			t.Fatalf("workers=%d: empty batch should yield empty results", w)
+		}
 	}
+}
+
+// workerCounts are the DB worker counts every fanned-out loop must answer
+// identically at; 1 is the sequential reference.
+func workerCounts() []int { return []int{1, 2, 4, runtime.GOMAXPROCS(0)} }
+
+// engineAt indexes products in a fresh monochromatic engine whose DB runs
+// its per-customer loops on the given number of workers.
+func engineAt(products []Item, workers int) *Engine {
+	db := rskyline.NewDB(2, products, rtree.Config{})
+	db.SetWorkers(workers)
+	return NewEngine(db, true)
 }

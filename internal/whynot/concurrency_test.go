@@ -13,14 +13,22 @@ import (
 )
 
 // TestConcurrentSafeRegionDuringMutation races cached safe-region
-// construction (anti-DDR cache plus DSL cache, parallel and sequential
-// paths) against Insert/Delete churn on the underlying index. Run under
-// -race this witnesses the lock discipline; the generation quiescence check
-// witnesses that no stale cached region is ever served.
+// construction (anti-DDR cache plus DSL cache, through the context-free and
+// the ctx-aware entry points) against Insert/Delete churn on the underlying
+// index, on DBs built at every worker count. Run under -race this witnesses
+// the lock discipline; the generation quiescence check witnesses that no
+// stale cached region is ever served.
 func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
+	for _, w := range workerCounts() {
+		raceSafeRegionAgainstMutation(t, w)
+	}
+}
+
+func raceSafeRegionAgainstMutation(t *testing.T, workers int) {
 	rng := rand.New(rand.NewSource(11))
 	products := randProducts(150, 500)
 	db := rskyline.NewDB(2, products, rtree.Config{})
+	db.SetWorkers(workers)
 	db.EnableDSLCache(64)
 	e := NewEngine(db, true)
 	e.EnableAntiDDRCache(64)
@@ -36,7 +44,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 		}
 	}
 	if rsl == nil {
-		t.Fatal("no suitable query sampled")
+		t.Fatalf("workers=%d: no suitable query sampled", workers)
 	}
 
 	var mutator sync.WaitGroup
@@ -72,9 +80,9 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 				if i%2 == 0 {
 					got = e.SafeRegion(q, rsl)
 				} else {
-					got, err = e.SafeRegionParallel(context.Background(), q, rsl, 3)
+					got, err = e.SafeRegionCtx(context.Background(), q, rsl)
 					if err != nil {
-						t.Errorf("reader %d: %v", r, err)
+						t.Errorf("workers=%d reader %d: %v", workers, r, err)
 						return
 					}
 				}
@@ -87,7 +95,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 					continue
 				}
 				if !region.Equivalent(got, fresh) {
-					t.Errorf("reader %d: cached safe region differs from fresh at generation %d", r, g1)
+					t.Errorf("workers=%d reader %d: cached safe region differs from fresh at generation %d", workers, r, g1)
 					return
 				}
 			}
@@ -103,10 +111,10 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 	got := e.SafeRegion(q, rsl)
 	fresh := NewEngine(db, true).SafeRegion(q, rsl)
 	if !region.Equivalent(got, fresh) {
-		t.Fatal("post-quiescence: cached safe region differs from fresh construction")
+		t.Fatalf("workers=%d: post-quiescence: cached safe region differs from fresh construction", workers)
 	}
 	st := e.AntiDDRCacheStats()
 	if st.Hits+st.Misses == 0 {
-		t.Fatal("anti-DDR cache was never exercised")
+		t.Fatalf("workers=%d: anti-DDR cache was never exercised", workers)
 	}
 }

@@ -249,36 +249,7 @@ func (e *Engine) MWQExact(ct Item, q geom.Point, rsl []Item, opt Options) MWQRes
 // construction — the step that is exponential in |RSL(q)| in the worst case —
 // is fully checkpointed.
 func (e *Engine) MWQExactCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, opt Options) (MWQResult, error) {
-	chk, err := entry(ctx)
-	if err != nil {
-		return MWQResult{}, err
-	}
-	tr := obs.TraceFrom(ctx)
-	eb := explain.From(ctx)
-	endSR := tr.StartSpan("saferegion.exact")
-	spSR := eb.Start("saferegion.exact", explain.RuleSafeRegion)
-	spSR.SetIn(len(rsl))
-	sr, err := e.safeRegion(chk, q, rsl)
-	if err == nil {
-		spSR.SetOut(len(sr))
-	}
-	spSR.End()
-	endSR()
-	if err != nil {
-		return MWQResult{}, err
-	}
-	return e.mwq(chk, tr, eb, ct, q, sr, opt)
-}
-
-// MWQExactParallelCtx is MWQExactCtx with the safe-region construction fanned
-// out over workers goroutines (0 = GOMAXPROCS); Algorithm 4 itself runs on
-// the calling goroutine. Results are identical to MWQExactCtx.
-func (e *Engine) MWQExactParallelCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, opt Options, workers int) (MWQResult, error) {
-	sr, err := e.SafeRegionParallel(ctx, q, rsl, workers)
-	if err != nil {
-		return MWQResult{}, err
-	}
-	return e.MWQCtx(ctx, ct, q, sr, opt)
+	return e.safeRegionThenMWQ(ctx, ct, q, rsl, nil, opt)
 }
 
 // MWQApprox runs Algorithm 4 on the approximate safe region assembled from
@@ -290,23 +261,19 @@ func (e *Engine) MWQApprox(ct Item, q geom.Point, rsl []Item, store *ApproxStore
 // MWQApproxCtx is MWQApprox with deadline/cancellation support — the fast
 // rung of the engine's degradation ladder.
 func (e *Engine) MWQApproxCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) (MWQResult, error) {
+	return e.safeRegionThenMWQ(ctx, ct, q, rsl, store, opt)
+}
+
+// safeRegionThenMWQ is MWQExactCtx (store == nil) and MWQApproxCtx: the
+// safe-region phase, then Algorithm 4 on the calling goroutine.
+func (e *Engine) safeRegionThenMWQ(ctx context.Context, ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) (MWQResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	tr := obs.TraceFrom(ctx)
-	eb := explain.From(ctx)
-	endSR := tr.StartSpan("saferegion.approx")
-	spSR := eb.Start("saferegion.approx", explain.RuleSafeRegion)
-	spSR.SetIn(len(rsl))
-	sr, err := e.approxSafeRegion(chk, q, rsl, store)
-	if err == nil {
-		spSR.SetOut(len(sr))
-	}
-	spSR.End()
-	endSR()
+	sr, err := e.safeRegionPhase(ctx, q, rsl, store)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, tr, eb, ct, q, sr, opt)
+	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
 }

@@ -21,7 +21,7 @@ import (
 // has no customers to lose. By construction q itself always lies in the
 // result.
 func (e *Engine) SafeRegion(q geom.Point, rsl []Item) region.Set {
-	sr, _ := e.safeRegion(nil, q, rsl)
+	sr, _ := e.safeRegion(nil, q, rsl, nil)
 	return sr
 }
 
@@ -30,15 +30,27 @@ func (e *Engine) SafeRegion(q geom.Point, rsl []Item) region.Set {
 // computation plus one rectangle-set intersection, the part that can grow
 // exponentially with |RSL(q)|).
 func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (region.Set, error) {
-	chk, err := entry(ctx)
-	if err != nil {
+	if _, err := entry(ctx); err != nil {
 		return nil, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "saferegion.exact")
+	return e.safeRegionPhase(ctx, q, rsl, nil)
+}
+
+// safeRegionPhase runs safeRegion as one query phase, named after its
+// construction ("saferegion.exact" or "saferegion.approx"): a trace span and
+// pprof label (obs.StartPhase) plus a plan node counting the members in and
+// the rectangles out. Every ctx-aware safe-region caller opens the phase
+// here, so it reads the same at every worker count.
+func (e *Engine) safeRegionPhase(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
+	name := "saferegion.exact"
+	if store != nil {
+		name = "saferegion.approx"
+	}
+	lctx, endPhase := obs.StartPhase(ctx, name)
 	defer endPhase()
-	sp := explain.From(ctx).Start("saferegion.exact", explain.RuleSafeRegion)
+	sp := explain.From(ctx).Start(name, explain.RuleSafeRegion)
 	sp.SetIn(len(rsl))
-	sr, err := e.safeRegion(chk, q, rsl)
+	sr, err := e.safeRegion(lctx, q, rsl, store)
 	if err == nil {
 		sp.SetOut(len(sr))
 	}
@@ -46,87 +58,54 @@ func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (r
 	return sr, err
 }
 
-func (e *Engine) safeRegion(chk *cancel.Checker, q geom.Point, rsl []Item) (region.Set, error) {
+// safeRegion is the one body of both safe-region constructions: the exact
+// one of Algorithm 3 (store == nil) and the approximate one of §VI.B.1,
+// which takes each member's anti-DDR from the store's corners and falls back
+// to the exact anti-DDR for members the store lacks. The per-member
+// anti-DDRs, the bulk of the work, are built on the DB's workers into
+// per-index slots; the rectangle-set intersection then folds them in member
+// order on the calling goroutine. Each construction polls its own
+// checkpoint site, so fault injection can slow one ladder rung without the
+// other.
+func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
 	universe, ok := e.DB.Universe()
 	if !ok {
 		return region.Set{geom.PointRect(q)}, nil
 	}
-	var sr region.Set
-	started := false
-	poll := pollAt(chk, cancel.SiteSafeRegion)
-	for _, c := range rsl {
-		if err := chk.Point(cancel.SiteSafeRegion); err != nil {
-			return nil, err
-		}
-		add, err := e.antiDDRCached(chk, c, universe, poll)
-		if err != nil {
-			return nil, err
-		}
-		if !started {
-			// Copy: add may be a shared cached set and the fold (and
-			// ensureContainsQ below) append to sr.
-			sr, started = append(region.Set{}, add...), true
-		} else {
-			sr, err = sr.IntersectSetChecked(add, poll)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if !started {
-		// No reverse-skyline points: every position is safe within the
-		// universe (extended symmetrically around q like any anti-DDR).
-		u := universe.TransformMinMax(q).Hi
-		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
-	}
-	return ensureContainsQ(sr, q), nil
-}
-
-// SafeRegionParallel is SafeRegionCtx with the per-customer anti-DDR
-// construction — DSL computation plus staircase assembly, the bulk of
-// Algorithm 3 — fanned out over workers goroutines (0 = GOMAXPROCS). The
-// rectangle-set intersection fold stays sequential: it is an ordered
-// reduction whose cost is dwarfed by the per-customer work. workers <= 1
-// falls back to the sequential construction, so results are always identical.
-func (e *Engine) SafeRegionParallel(ctx context.Context, q geom.Point, rsl []Item, workers int) (region.Set, error) {
-	if exec.Resolve(workers, len(rsl)) <= 1 {
-		return e.SafeRegionCtx(ctx, q, rsl)
-	}
-	chk, err := entry(ctx)
-	if err != nil {
-		return nil, err
-	}
-	_, endPhase := obs.StartPhase(ctx, "saferegion.parallel")
-	defer endPhase()
-	universe, ok := e.DB.Universe()
-	if !ok {
-		return region.Set{geom.PointRect(q)}, nil
+	site := cancel.SiteSafeRegion
+	if store != nil {
+		site = cancel.SiteApproxSafeRegion
 	}
 	adds := make([]region.Set, len(rsl))
-	err = exec.ForEach(ctx, len(rsl), workers, cancel.SiteSafeRegion, func(chk *cancel.Checker, i int) error {
-		add, err := e.antiDDRCached(chk, rsl[i], universe, pollAt(chk, cancel.SiteSafeRegion))
+	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(chk *cancel.Checker, i int) error {
+		c := rsl[i]
+		if store != nil {
+			if corners, found := store.Corners(c.ID); found {
+				adds[i] = region.AntiDDRFromCorners(c.Point, corners)
+				return nil
+			}
+		}
+		add, err := e.antiDDRCached(chk, c, universe, pollAt(chk, site))
 		adds[i] = add
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	poll := pollAt(chk, cancel.SiteSafeRegion)
-	var sr region.Set
-	started := false
-	for _, add := range adds {
-		if !started {
-			sr, started = append(region.Set{}, add...), true
-			continue
-		}
-		sr, err = sr.IntersectSetChecked(add, poll)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !started {
+	if len(adds) == 0 {
+		// No reverse-skyline points: every position is safe within the
+		// universe (extended symmetrically around q like any anti-DDR).
 		u := universe.TransformMinMax(q).Hi
 		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
+	}
+	// Copy: adds[0] may be a shared cached set, and the fold (and
+	// ensureContainsQ below) append to sr.
+	sr := append(region.Set{}, adds[0]...)
+	poll := pollAt(cancel.FromContext(ctx), site)
+	for _, add := range adds[1:] {
+		if sr, err = sr.IntersectSetChecked(add, poll); err != nil {
+			return nil, err
+		}
 	}
 	return ensureContainsQ(sr, q), nil
 }
@@ -226,30 +205,39 @@ func (e *Engine) BuildApproxStore(customers []Item, k, sortDim int) *ApproxStore
 // (the offline precomputation is linear in customers but each step is a full
 // DSL computation).
 func (e *Engine) BuildApproxStoreCtx(ctx context.Context, customers []Item, k, sortDim int) (*ApproxStore, error) {
-	chk, err := entry(ctx)
-	if err != nil {
+	if _, err := entry(ctx); err != nil {
 		return nil, err
 	}
-	return e.buildApproxStore(chk, customers, k, sortDim)
+	return e.buildApproxStore(ctx, customers, k, sortDim)
 }
 
-func (e *Engine) buildApproxStore(chk *cancel.Checker, customers []Item, k, sortDim int) (*ApproxStore, error) {
+// buildApproxStore computes every customer's corners on the DB's workers.
+// Each customer's dynamic skyline is an independent read-only index
+// traversal; the corners land in per-index slots and enter the map in
+// customer order once the pool drains.
+func (e *Engine) buildApproxStore(ctx context.Context, customers []Item, k, sortDim int) (*ApproxStore, error) {
+	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
 	universe, ok := e.DB.Universe()
 	if !ok {
-		return &ApproxStore{K: k, SortDim: sortDim, corners: map[int][]geom.Point{}}, nil
+		return store, nil
 	}
-	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteStoreBuild); err != nil {
-			return nil, err
-		}
+	corners := make([][]geom.Point, len(customers))
+	err := exec.ForEach(ctx, len(customers), e.DB.Workers(), cancel.SiteStoreBuild, func(chk *cancel.Checker, i int) error {
+		c := customers[i]
 		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, e.exclude(c))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sampled := skyline.ApproxDynamic(dsl, c.Point, k, sortDim)
 		u := universe.TransformMinMax(c.Point).Hi
-		store.corners[c.ID] = region.ApproxAntiDDRCorners(c.Point, points(sampled), u, sortDim)
+		corners[i] = region.ApproxAntiDDRCorners(c.Point, points(sampled), u, sortDim)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range customers {
+		store.corners[c.ID] = corners[i]
 	}
 	return store, nil
 }
@@ -266,7 +254,7 @@ func (s *ApproxStore) Corners(id int) ([]geom.Point, bool) {
 // computation, keeping the result correct (always a subset of the exact safe
 // region, so no existing customer can be lost).
 func (e *Engine) ApproxSafeRegion(q geom.Point, rsl []Item, store *ApproxStore) region.Set {
-	sr, _ := e.approxSafeRegion(nil, q, rsl, store)
+	sr, _ := e.safeRegion(nil, q, rsl, store)
 	return sr
 }
 
@@ -274,52 +262,10 @@ func (e *Engine) ApproxSafeRegion(q geom.Point, rsl []Item, store *ApproxStore) 
 // Its checkpoints use a distinct site from the exact construction so fault
 // injection can slow one rung of the degradation ladder without the other.
 func (e *Engine) ApproxSafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
-	chk, err := entry(ctx)
-	if err != nil {
+	if _, err := entry(ctx); err != nil {
 		return nil, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "saferegion.approx")
-	defer endPhase()
-	return e.approxSafeRegion(chk, q, rsl, store)
-}
-
-func (e *Engine) approxSafeRegion(chk *cancel.Checker, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
-	universe, ok := e.DB.Universe()
-	if !ok {
-		return region.Set{geom.PointRect(q)}, nil
-	}
-	var sr region.Set
-	started := false
-	poll := pollAt(chk, cancel.SiteApproxSafeRegion)
-	for _, c := range rsl {
-		if err := chk.Point(cancel.SiteApproxSafeRegion); err != nil {
-			return nil, err
-		}
-		var add region.Set
-		if corners, found := store.Corners(c.ID); found {
-			add = region.AntiDDRFromCorners(c.Point, corners)
-		} else {
-			var err error
-			add, err = e.antiDDRCached(chk, c, universe, poll)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !started {
-			sr, started = append(region.Set{}, add...), true
-		} else {
-			var err error
-			sr, err = sr.IntersectSetChecked(add, poll)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if !started {
-		u := universe.TransformMinMax(q).Hi
-		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
-	}
-	return ensureContainsQ(sr, q), nil
+	return e.safeRegionPhase(ctx, q, rsl, store)
 }
 
 // TruncateSafeRegion implements the §V.B flexibility note: clip the safe

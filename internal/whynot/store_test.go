@@ -63,8 +63,8 @@ func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 	products := randProducts(400, 2025)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
 	serial := e.BuildApproxStore(products[:120], 5, 0)
-	for _, workers := range []int{0, 1, 4} {
-		parallel := e.BuildApproxStoreParallel(products[:120], 5, 0, workers)
+	for _, workers := range workerCounts() {
+		parallel := engineAt(products, workers).BuildApproxStore(products[:120], 5, 0)
 		if parallel.Len() != serial.Len() {
 			t.Fatalf("workers=%d: Len %d vs %d", workers, parallel.Len(), serial.Len())
 		}
@@ -77,7 +77,7 @@ func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// Empty customer list is fine.
-	if got := e.BuildApproxStoreParallel(nil, 5, 0, 4); got.Len() != 0 {
+	if got := engineAt(products, 4).BuildApproxStore(nil, 5, 0); got.Len() != 0 {
 		t.Fatal("empty build must yield an empty store")
 	}
 }

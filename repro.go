@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -125,9 +126,6 @@ type FingerprintClass = explain.ClassSnapshot
 // queries and why-not questions over it.
 type DB struct {
 	engine *whynot.Engine
-	// workers is the configured parallelism: 0 means GOMAXPROCS, 1 means
-	// fully sequential execution (the default).
-	workers int
 	// reg and pool are non-nil only when DBOptions.Observability is set; every
 	// obs type is nil-safe, so the disabled state needs no branches below.
 	reg      *obs.Registry
@@ -155,11 +153,13 @@ type DB struct {
 // reference configuration. The zero value preserves that reference behaviour
 // exactly: sequential execution, no caching.
 type DBOptions struct {
-	// Parallelism is the worker count for the parallelisable per-customer
-	// loops (reverse skylines, safe-region construction, batch why-not
-	// answering, approximate-store builds). 0 or 1 runs sequentially — the
-	// paper's reference behaviour; n > 1 uses n workers; negative means
-	// GOMAXPROCS.
+	// Parallelism is the worker count for the per-customer loops (reverse
+	// skylines, safe-region construction, batch why-not answering,
+	// approximate-store builds). 0 or 1 runs sequentially — the paper's
+	// reference behaviour; n > 1 uses n workers; negative means GOMAXPROCS.
+	// It is the only worker setting: NewDBWithOptions resolves it once and
+	// every operation on the DB, including the degradation ladder of
+	// internal/engine, fans out over that many workers.
 	Parallelism int
 	// CacheSize bounds the memoisation caches for per-customer dynamic
 	// skylines and anti-dominance regions (entries each). 0 disables
@@ -168,7 +168,9 @@ type DBOptions struct {
 	// Observability turns on the metrics registry and per-query tracing for
 	// this DB: Metrics() serves Prometheus/JSON renderings of the paper's
 	// cost counters (node accesses, dominance tests, ...), worker-pool
-	// utilisation flows into every parallel query, and StartTrace records
+	// utilisation flows into the fan-outs of the XxxContext methods (a
+	// reverse-skyline fan-out sees it only under a context that can be
+	// cancelled, the one its checkpoints carry), and StartTrace records
 	// per-query phase spans. Disabled (the default), every instrumentation
 	// hook is a nil no-op on the query path.
 	Observability bool
@@ -201,15 +203,12 @@ func NewDBWithOptions(dims int, products []Item, opts DBOptions) *DB {
 		engine.EnableAntiDDRCache(opts.CacheSize)
 	}
 	workers := opts.Parallelism
-	switch {
-	case workers < 0:
-		workers = 0 // internal layers read 0 as GOMAXPROCS
-	case workers == 0:
-		workers = 1 // zero value: the paper's sequential reference behaviour
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	rdb.SetWorkers(workers) // 0, the zero value, runs sequentially
 	db := &DB{
 		engine:       engine,
-		workers:      workers,
 		explainModel: explain.NewModel(),
 		fingerprints: explain.NewStore(0),
 	}
@@ -368,7 +367,7 @@ func (db *DB) obsCtx(ctx context.Context, op string) (context.Context, func()) {
 	if db.pool != nil {
 		ctx = obs.WithExecMetrics(ctx, db.pool)
 	}
-	act := db.flight.Begin(op, "db", "", db.workers)
+	act := db.flight.Begin(op, "db", "", db.Workers())
 	if act != nil && obs.TraceFrom(ctx) == nil {
 		ctx = obs.WithTrace(ctx, act.Trace())
 	}
@@ -415,9 +414,10 @@ func (c Cost) Sub(o Cost) Cost {
 	}
 }
 
-// Workers returns the resolved parallelism in the internal convention:
-// 0 = GOMAXPROCS, 1 = sequential, n > 1 = n worker goroutines.
-func (db *DB) Workers() int { return db.workers }
+// Workers returns the worker count DBOptions.Parallelism resolved to at
+// construction: 1 runs sequentially, n > 1 fans every per-customer loop out
+// over n goroutines.
+func (db *DB) Workers() int { return db.engine.DB.Workers() }
 
 // Insert adds a product to the index and invalidates every derived cache
 // (cached dynamic skylines and anti-dominance regions are stamped with a
@@ -473,14 +473,11 @@ func (db *DB) DynamicSkyline(c Point) []Item {
 
 // ReverseSkyline returns RSL(q) over the given customers: those whose dynamic
 // skyline contains q (Definition 3). With Parallelism configured the
-// per-customer verification runs on the worker pool; results are identical.
+// candidates that survive the global-dominance filter are verified on the
+// worker pool; results are identical.
 func (db *DB) ReverseSkyline(customers []Item, q Point) []Item {
-	ctx, done := db.obsCtx(context.Background(), "rsl")
+	_, done := db.obsCtx(context.Background(), "rsl")
 	defer done()
-	if db.workers != 1 {
-		out, _ := db.engine.DB.ReverseSkylineFilteredParallel(ctx, customers, q, db.workers)
-		return out
-	}
 	return db.engine.DB.ReverseSkylineFiltered(customers, q)
 }
 
@@ -520,12 +517,8 @@ func (db *DB) MQPTotalCost(q, qStar Point, rsl []Item, sr Region, opt Options) f
 // With Parallelism configured the per-customer anti-dominance regions are
 // built on the worker pool; results are identical.
 func (db *DB) SafeRegion(q Point, rsl []Item) Region {
-	ctx, done := db.obsCtx(context.Background(), "saferegion")
+	_, done := db.obsCtx(context.Background(), "saferegion")
 	defer done()
-	if db.workers != 1 {
-		sr, _ := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		return sr
-	}
 	return db.engine.SafeRegion(q, rsl)
 }
 
@@ -545,12 +538,8 @@ func (db *DB) MWQ(ct Item, q Point, sr Region, opt Options) MWQResult {
 // Parallelism configured the safe-region construction runs on the worker
 // pool; results are identical.
 func (db *DB) MWQExact(ct Item, q Point, rsl []Item, opt Options) MWQResult {
-	ctx, done := db.obsCtx(context.Background(), "mwq")
+	_, done := db.obsCtx(context.Background(), "mwq")
 	defer done()
-	if db.workers != 1 {
-		res, _ := db.engine.MWQExactParallelCtx(ctx, ct, q, rsl, opt, db.workers)
-		return res
-	}
 	return db.engine.MWQExact(ct, q, rsl, opt)
 }
 
@@ -559,22 +548,9 @@ func (db *DB) MWQExact(ct Item, q Point, rsl []Item, opt Options) MWQResult {
 // align positionally with cts. With Parallelism configured both the
 // safe-region construction and the per-question loop run on the worker pool.
 func (db *DB) MWQBatch(cts []Item, q Point, rsl []Item, opt Options) []MWQResult {
-	ctx, done := db.obsCtx(context.Background(), "mwq-batch")
+	_, done := db.obsCtx(context.Background(), "mwq-batch")
 	defer done()
-	if db.workers != 1 {
-		sr, err := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		if err != nil {
-			return nil
-		}
-		return db.engine.MWQBatchParallel(cts, q, sr, opt, db.workers)
-	}
 	return db.engine.MWQBatch(cts, q, rsl, opt)
-}
-
-// MWQBatchParallel runs a batch of why-not questions against a shared safe
-// region on worker goroutines (0 = GOMAXPROCS).
-func (db *DB) MWQBatchParallel(cts []Item, q Point, sr Region, opt Options, workers int) []MWQResult {
-	return db.engine.MWQBatchParallel(cts, q, sr, opt, workers)
 }
 
 // TruncateSafeRegion clips a safe region to a feature-limit box (§V.B):
@@ -600,17 +576,7 @@ func (db *DB) LostCustomers(qStar Point, rsl []Item) []Item {
 // customers (the offline step of §VI.B.1). With Parallelism configured the
 // per-customer precomputation runs on the worker pool.
 func (db *DB) BuildApproxStore(customers []Item, k int) *ApproxStore {
-	if db.workers != 1 {
-		return db.engine.BuildApproxStoreParallel(customers, k, 0, db.workers)
-	}
 	return db.engine.BuildApproxStore(customers, k, 0)
-}
-
-// BuildApproxStoreParallel is BuildApproxStore fanned out over worker
-// goroutines (0 = GOMAXPROCS); the index is only read, so results are
-// identical.
-func (db *DB) BuildApproxStoreParallel(customers []Item, k, workers int) *ApproxStore {
-	return db.engine.BuildApproxStoreParallel(customers, k, 0, workers)
 }
 
 // LoadApproxStore reads a store previously written with ApproxStore.Save.
@@ -623,12 +589,8 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 // pipeline of Dellis & Seeger. With Parallelism configured the per-candidate
 // verification runs on the worker pool; results are identical.
 func (db *DB) ReverseSkylineBBRS(q Point) []Item {
-	ctx, done := db.obsCtx(context.Background(), "rsl-bbrs")
+	_, done := db.obsCtx(context.Background(), "rsl-bbrs")
 	defer done()
-	if db.workers != 1 {
-		out, _ := db.engine.DB.ReverseSkylineBBRSParallel(ctx, q, db.workers)
-		return out
-	}
 	return db.engine.DB.ReverseSkylineBBRS(q)
 }
 
@@ -724,10 +686,6 @@ func (db *DB) ReverseSkylineContext(ctx context.Context, customers []Item, q Poi
 	if err != nil {
 		return nil, err
 	}
-	if db.workers != 1 {
-		out, err := db.engine.DB.ReverseSkylineFilteredParallel(ctx, customers, q, db.workers)
-		return out, wrapCtxErr(op, err)
-	}
 	out, err := db.engine.DB.ReverseSkylineFilteredChecked(chk, customers, q)
 	return out, wrapCtxErr(op, err)
 }
@@ -753,10 +711,6 @@ func (db *DB) ReverseSkylineBBRSContext(ctx context.Context, q Point) ([]Item, e
 	chk, err := begin(ctx, op)
 	if err != nil {
 		return nil, err
-	}
-	if db.workers != 1 {
-		out, err := db.engine.DB.ReverseSkylineBBRSParallel(ctx, q, db.workers)
-		return out, wrapCtxErr(op, err)
 	}
 	out, err := db.engine.DB.ReverseSkylineBBRSChecked(chk, q)
 	return out, wrapCtxErr(op, err)
@@ -798,10 +752,6 @@ func (db *DB) MQPTotalCostContext(ctx context.Context, q, qStar Point, rsl []Ite
 func (db *DB) SafeRegionContext(ctx context.Context, q Point, rsl []Item) (Region, error) {
 	ctx, done := db.obsCtx(ctx, "saferegion")
 	defer done()
-	if db.workers != 1 {
-		sr, err := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		return sr, wrapCtxErr("safe region", err)
-	}
 	sr, err := db.engine.SafeRegionCtx(ctx, q, rsl)
 	return sr, wrapCtxErr("safe region", err)
 }
@@ -834,10 +784,6 @@ func (db *DB) MWQContext(ctx context.Context, ct Item, q Point, sr Region, opt O
 func (db *DB) MWQExactContext(ctx context.Context, ct Item, q Point, rsl []Item, opt Options) (MWQResult, error) {
 	ctx, done := db.obsCtx(ctx, "mwq")
 	defer done()
-	if db.workers != 1 {
-		res, err := db.engine.MWQExactParallelCtx(ctx, ct, q, rsl, opt, db.workers)
-		return res, wrapCtxErr("exact MWQ", err)
-	}
 	res, err := db.engine.MWQExactCtx(ctx, ct, q, rsl, opt)
 	return res, wrapCtxErr("exact MWQ", err)
 }
@@ -858,15 +804,6 @@ func (db *DB) MWQBatchContext(ctx context.Context, cts []Item, q Point, rsl []It
 	return out, wrapCtxErr("MWQ batch", err)
 }
 
-// MWQBatchParallelContext is MWQBatchParallel with deadline/cancellation
-// support; a panic in any worker is re-raised on the calling goroutine.
-func (db *DB) MWQBatchParallelContext(ctx context.Context, cts []Item, q Point, sr Region, opt Options, workers int) ([]MWQResult, error) {
-	ctx, done := db.obsCtx(ctx, "mwq-batch")
-	defer done()
-	out, err := db.engine.MWQBatchParallelCtx(ctx, cts, q, sr, opt, workers)
-	return out, wrapCtxErr("parallel MWQ batch", err)
-}
-
 // LostCustomersContext is LostCustomers with deadline/cancellation support.
 func (db *DB) LostCustomersContext(ctx context.Context, qStar Point, rsl []Item) ([]Item, error) {
 	out, err := db.engine.LostCustomersCtx(ctx, qStar, rsl)
@@ -880,15 +817,6 @@ func (db *DB) BuildApproxStoreContext(ctx context.Context, customers []Item, k i
 	defer done()
 	store, err := db.engine.BuildApproxStoreCtx(ctx, customers, k, 0)
 	return store, wrapCtxErr("approx store build", err)
-}
-
-// BuildApproxStoreParallelContext is BuildApproxStoreParallel with
-// deadline/cancellation support.
-func (db *DB) BuildApproxStoreParallelContext(ctx context.Context, customers []Item, k, workers int) (*ApproxStore, error) {
-	ctx, done := db.obsCtx(ctx, "buildstore")
-	defer done()
-	store, err := db.engine.BuildApproxStoreParallelCtx(ctx, customers, k, 0, workers)
-	return store, wrapCtxErr("parallel approx store build", err)
 }
 
 // ValidateWhyNotMoveContext is ValidateWhyNotMove with deadline/cancellation

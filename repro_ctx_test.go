@@ -9,132 +9,156 @@ import (
 )
 
 // TestContextAPIPreCancelled drives every public Context method with a
-// context that is already cancelled at the call boundary. Each one must
-// return an error that (a) unwraps to context.Canceled, (b) carries the
-// "repro:" operation prefix, and (c) was produced without touching the index
-// at all — zero R-tree node accesses, the package's definition of "zero
-// algorithmic work".
+// context that is already cancelled at the call boundary, on a DB built at
+// every worker count. Each one must return an error that (a) unwraps to
+// context.Canceled, (b) carries the "repro:" operation prefix, and (c) was
+// produced without touching the index at all — zero R-tree node accesses,
+// the package's definition of "zero algorithmic work".
 func TestContextAPIPreCancelled(t *testing.T) {
 	items := fig1()
-	db := NewDB(2, items)
+	ref := NewDB(2, items)
 	q := NewPoint(8.5, 55)
 	ct := items[0]
-	rsl := db.ReverseSkyline(items, q)
-	sr := db.SafeRegion(q, rsl)
-	store := db.BuildApproxStore(rsl, 5)
+	rsl := ref.ReverseSkyline(items, q)
+	sr := ref.SafeRegion(q, rsl)
+	store := ref.BuildApproxStore(rsl, 5)
 
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	cancelCtx()
 
-	calls := []struct {
+	type ctxCall struct {
 		name string
-		call func(context.Context) error
-	}{
-		{"DynamicSkylineContext", func(c context.Context) error {
+		call func(*DB, context.Context) error
+	}
+	calls := []ctxCall{
+		{"DynamicSkylineContext", func(db *DB, c context.Context) error {
 			_, err := db.DynamicSkylineContext(c, ct.Point)
 			return err
 		}},
-		{"ReverseSkylineContext", func(c context.Context) error {
+		{"ReverseSkylineContext", func(db *DB, c context.Context) error {
 			_, err := db.ReverseSkylineContext(c, items, q)
 			return err
 		}},
-		{"IsReverseSkylineContext", func(c context.Context) error {
+		{"IsReverseSkylineContext", func(db *DB, c context.Context) error {
 			_, err := db.IsReverseSkylineContext(c, ct, q)
 			return err
 		}},
-		{"ReverseSkylineBBRSContext", func(c context.Context) error {
+		{"ReverseSkylineBBRSContext", func(db *DB, c context.Context) error {
 			_, err := db.ReverseSkylineBBRSContext(c, q)
 			return err
 		}},
-		{"ExplainContext", func(c context.Context) error {
+		{"ExplainContext", func(db *DB, c context.Context) error {
 			_, err := db.ExplainContext(c, ct, q)
 			return err
 		}},
-		{"MWPContext", func(c context.Context) error {
+		{"MWPContext", func(db *DB, c context.Context) error {
 			_, err := db.MWPContext(c, ct, q, Options{})
 			return err
 		}},
-		{"MQPContext", func(c context.Context) error {
+		{"MQPContext", func(db *DB, c context.Context) error {
 			_, err := db.MQPContext(c, ct, q, Options{})
 			return err
 		}},
-		{"MQPTotalCostContext", func(c context.Context) error {
+		{"MQPTotalCostContext", func(db *DB, c context.Context) error {
 			_, err := db.MQPTotalCostContext(c, q, ct.Point, rsl, sr, Options{})
 			return err
 		}},
-		{"SafeRegionContext", func(c context.Context) error {
+		{"SafeRegionContext", func(db *DB, c context.Context) error {
 			_, err := db.SafeRegionContext(c, q, rsl)
 			return err
 		}},
-		{"ApproxSafeRegionContext", func(c context.Context) error {
+		{"ApproxSafeRegionContext", func(db *DB, c context.Context) error {
 			_, err := db.ApproxSafeRegionContext(c, q, rsl, store)
 			return err
 		}},
-		{"AntiDominanceRegionContext", func(c context.Context) error {
+		{"AntiDominanceRegionContext", func(db *DB, c context.Context) error {
 			_, err := db.AntiDominanceRegionContext(c, ct)
 			return err
 		}},
-		{"MWQContext", func(c context.Context) error {
+		{"MWQContext", func(db *DB, c context.Context) error {
 			_, err := db.MWQContext(c, ct, q, sr, Options{})
 			return err
 		}},
-		{"MWQExactContext", func(c context.Context) error {
+		{"MWQExactContext", func(db *DB, c context.Context) error {
 			_, err := db.MWQExactContext(c, ct, q, rsl, Options{})
 			return err
 		}},
-		{"MWQApproxContext", func(c context.Context) error {
+		{"MWQApproxContext", func(db *DB, c context.Context) error {
 			_, err := db.MWQApproxContext(c, ct, q, rsl, store, Options{})
 			return err
 		}},
-		{"MWQBatchContext", func(c context.Context) error {
+		{"MWQBatchContext", func(db *DB, c context.Context) error {
 			_, err := db.MWQBatchContext(c, []Item{ct}, q, rsl, Options{})
 			return err
 		}},
-		{"MWQBatchParallelContext", func(c context.Context) error {
-			_, err := db.MWQBatchParallelContext(c, []Item{ct}, q, sr, Options{}, 2)
-			return err
-		}},
-		{"LostCustomersContext", func(c context.Context) error {
+		{"LostCustomersContext", func(db *DB, c context.Context) error {
 			_, err := db.LostCustomersContext(c, ct.Point, rsl)
 			return err
 		}},
-		{"BuildApproxStoreContext", func(c context.Context) error {
+		{"BuildApproxStoreContext", func(db *DB, c context.Context) error {
 			_, err := db.BuildApproxStoreContext(c, rsl, 5)
 			return err
 		}},
-		{"BuildApproxStoreParallelContext", func(c context.Context) error {
-			_, err := db.BuildApproxStoreParallelContext(c, rsl, 5, 2)
-			return err
-		}},
-		{"ValidateWhyNotMoveContext", func(c context.Context) error {
+		{"ValidateWhyNotMoveContext", func(db *DB, c context.Context) error {
 			_, err := db.ValidateWhyNotMoveContext(c, ct, q, ct.Point, 1e-7)
 			return err
 		}},
-		{"ValidateQueryMoveContext", func(c context.Context) error {
+		{"ValidateQueryMoveContext", func(db *DB, c context.Context) error {
 			_, err := db.ValidateQueryMoveContext(c, ct, q, 1e-7)
 			return err
 		}},
 	}
 
-	tree := db.Engine().DB.Tree()
-	for _, tc := range calls {
-		t.Run(tc.name, func(t *testing.T) {
-			tree.ResetAccesses()
-			err := tc.call(ctx)
-			if err == nil {
-				t.Fatal("pre-cancelled context returned no error")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("error does not unwrap to context.Canceled: %v", err)
-			}
-			if !strings.HasPrefix(err.Error(), "repro: ") {
-				t.Fatalf("error lacks the repro: operation prefix: %v", err)
-			}
-			if n := tree.Accesses(); n != 0 {
-				t.Fatalf("pre-cancelled call touched the index: %d node accesses", n)
-			}
-		})
+	// The batch and store fan-outs are also checked on their own, on DBs
+	// built at more than one worker only, so the cancelled context meets the
+	// worker pool itself.
+	fanOutCalls := []ctxCall{
+		{"MWQBatchParallelContext", func(db *DB, c context.Context) error {
+			_, err := db.MWQBatchContext(c, []Item{ct}, q, rsl, Options{})
+			return err
+		}},
+		{"BuildApproxStoreParallelContext", func(db *DB, c context.Context) error {
+			_, err := db.BuildApproxStoreContext(c, rsl, 5)
+			return err
+		}},
 	}
+
+	var dbs, fanOutDBs []*DB
+	for _, w := range workerCounts() {
+		db := NewDBWithOptions(2, items, DBOptions{Parallelism: w})
+		dbs = append(dbs, db)
+		if db.Workers() > 1 {
+			fanOutDBs = append(fanOutDBs, db)
+		}
+	}
+	if len(fanOutDBs) == 0 {
+		t.Fatal("no DB was built at more than one worker")
+	}
+	run := func(calls []ctxCall, dbs []*DB) {
+		for _, tc := range calls {
+			t.Run(tc.name, func(t *testing.T) {
+				for _, db := range dbs {
+					tree := db.Engine().DB.Tree()
+					tree.ResetAccesses()
+					err := tc.call(db, ctx)
+					if err == nil {
+						t.Fatalf("workers=%d: pre-cancelled context returned no error", db.Workers())
+					}
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("workers=%d: error does not unwrap to context.Canceled: %v", db.Workers(), err)
+					}
+					if !strings.HasPrefix(err.Error(), "repro: ") {
+						t.Fatalf("workers=%d: error lacks the repro: operation prefix: %v", db.Workers(), err)
+					}
+					if n := tree.Accesses(); n != 0 {
+						t.Fatalf("workers=%d: pre-cancelled call touched the index: %d node accesses", db.Workers(), n)
+					}
+				}
+			})
+		}
+	}
+	run(calls, dbs)
+	run(fanOutCalls, fanOutDBs)
 }
 
 // TestContextAPINilAndLiveContexts: a nil or never-cancelled context must

@@ -2,9 +2,18 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"repro/internal/engine"
 )
+
+// workerCounts are the DB worker counts every fanned-out operation must
+// answer identically at; 1 is the sequential reference.
+func workerCounts() []int { return []int{1, 2, 4, runtime.GOMAXPROCS(0)} }
 
 // fig1 is the paper's running example (Fig. 1a): price in K$, mileage in Kmi.
 func fig1() []Item {
@@ -159,6 +168,34 @@ func TestMQPTotalCostFacade(t *testing.T) {
 	}
 }
 
+// TestRunnerFansOutAtNegativeParallelism: Parallelism < 0, the cmd/serve
+// default, resolves to GOMAXPROCS once, when the DB is built, and the
+// degradation ladder's exact rung — the engine.Runner call internal/server
+// and cmd/whynot make — fans its safe region out over those workers.
+func TestRunnerFansOutAtNegativeParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	items := fig1()
+	db := NewDBWithOptions(2, items, DBOptions{Parallelism: -1, Observability: true})
+	if db.Workers() != 2 {
+		t.Fatalf("Workers() = %d, want GOMAXPROCS = 2", db.Workers())
+	}
+	q := NewPoint(8.5, 55)
+	rsl := db.ReverseSkyline(items, q)
+	if len(rsl) < 2 {
+		t.Fatalf("|RSL(q)| = %d: one member never fans out", len(rsl))
+	}
+	fanouts := db.PoolMetrics().Fanouts
+	before := fanouts.Value()
+	ctx := WithExecMetrics(context.Background(), db.PoolMetrics())
+	ans, err := engine.NewRunner(db.Engine(), engine.Config{}).MWQ(ctx, items[0], q, rsl)
+	if err != nil || ans.Rung != engine.RungExact {
+		t.Fatalf("rung %v, err %v; want the exact rung", ans.Rung, err)
+	}
+	if fanouts.Value() == before {
+		t.Fatal("the exact rung ran its safe region without fanning out")
+	}
+}
+
 func TestFacadeWideSurface(t *testing.T) {
 	products := fig1()
 	db := NewDB(2, products)
@@ -194,21 +231,33 @@ func TestFacadeWideSurface(t *testing.T) {
 		t.Fatal("drastic move should lose customers")
 	}
 
-	// Batch API matches singles.
+	// Batch API matches singles, and both the batch and the store build
+	// answer the same on a DB built at every worker count.
 	c1, c7 := products[0], products[6]
 	batch := db.MWQBatch([]Item{c1, c7}, q, rsl, Options{})
 	if len(batch) != 2 {
 		t.Fatalf("batch = %d results", len(batch))
 	}
-	parallel := db.MWQBatchParallel([]Item{c1, c7}, q, sr, Options{}, 2)
-	for i := range batch {
-		if batch[i].Cost != parallel[i].Cost || batch[i].Case != parallel[i].Case {
-			t.Fatalf("batch/parallel diverge at %d", i)
+	serial := db.BuildApproxStore(rsl, 5)
+	var store *ApproxStore
+	for _, w := range workerCounts() {
+		pdb := NewDBWithOptions(2, products, DBOptions{Parallelism: w})
+		parallel := pdb.MWQBatch([]Item{c1, c7}, q, rsl, Options{})
+		for i := range batch {
+			if batch[i].Cost != parallel[i].Cost || batch[i].Case != parallel[i].Case {
+				t.Fatalf("workers=%d: batch diverges from the sequential one at %d", w, i)
+			}
+		}
+		store = pdb.BuildApproxStore(rsl, 5)
+		for _, c := range rsl {
+			want, _ := serial.Corners(c.ID)
+			if got, ok := store.Corners(c.ID); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: store corners differ for customer %d", w, c.ID)
+			}
 		}
 	}
 
-	// Store build (parallel), save, reload via the facade.
-	store := db.BuildApproxStoreParallel(rsl, 5, 2)
+	// Store save and reload via the facade.
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -108,12 +108,13 @@ race:
 	$(GO) test -race ./...
 
 # Targeted race gate for the executor substrate, the differential oracle
-# suite, and the serving layer (admission control, circuit breakers, hot-swap
-# snapshots, chaos harness) — the packages whose whole point is concurrency
-# correctness. Redundant with `race` but kept separate so the critical slice
+# suite, the reverse-skyline and skyline layers (index traversals under the
+# tree read lock racing Insert/Delete), and the serving layer (admission
+# control, circuit breakers, hot-swap snapshots, chaos harness) — the
+# packages whose whole point is concurrency correctness. Redundant with `race` but kept separate so the critical slice
 # has its own fast signal.
 race-core:
-	$(GO) test -race -short ./internal/exec/... ./internal/oracle/... ./internal/server/... ./internal/wal/... ./internal/sim/...
+	$(GO) test -race -short ./internal/exec/... ./internal/oracle/... ./internal/rskyline/... ./internal/skyline/... ./internal/server/... ./internal/wal/... ./internal/sim/...
 
 # The why-not benchmark (benchmark/, run by benchmark/run.sh) is a module of
 # its own, so `go build ./...` and `go test ./...` above skip it. Vetting and

@@ -88,7 +88,7 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	})
 	b.Run("global-filter", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkylineMono(q)
+			db.ReverseSkylineFiltered(items, q)
 		}
 	})
 	b.Run("bbrs-index", func(b *testing.B) {

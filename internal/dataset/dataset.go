@@ -236,11 +236,11 @@ type QueryCase struct {
 // RSL over customers has exactly that size, plus a random why-not customer
 // outside the RSL. Targets with no hit within maxTrials are skipped, mirroring
 // the paper's tables where some sizes are absent. A nil customers slice
-// selects the monochromatic setting — the customers are the product records
-// themselves — which uses a much faster global-skyline candidate path.
+// selects the monochromatic setting: the customers are the product records
+// themselves. Each trial's RSL comes from ReverseSkylineFiltered, members in
+// customer order.
 func FindQueries(db *rskyline.DB, customers []Item, targets []int, maxTrials int, rng *rand.Rand) []QueryCase {
-	mono := customers == nil
-	if mono {
+	if customers == nil {
 		customers = db.Tree().Items()
 	}
 	want := make(map[int]bool, len(targets))
@@ -259,12 +259,7 @@ func FindQueries(db *rskyline.DB, customers []Item, targets []int, maxTrials int
 			span := bounds.Hi[i] - bounds.Lo[i]
 			q[i] = base[i] + (rng.Float64()-0.5)*0.02*span
 		}
-		var rsl []Item
-		if mono {
-			rsl = db.ReverseSkylineMono(q)
-		} else {
-			rsl = db.ReverseSkylineFiltered(customers, q)
-		}
+		rsl := db.ReverseSkylineFiltered(customers, q)
 		size := len(rsl)
 		if !want[size] {
 			continue

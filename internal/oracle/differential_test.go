@@ -203,6 +203,50 @@ func TestBBRSAgreesWithOracle(t *testing.T) {
 	})
 }
 
+// gridItems draws n points of the integer grid {0..9}^d, IDs from idBase.
+func gridItems(rng *rand.Rand, n, d, idBase int) []oracle.Item {
+	items := make([]oracle.Item, n)
+	for i := range items {
+		p := make(geom.Point, d)
+		for j := range p {
+			p[j] = float64(rng.Intn(10))
+		}
+		items[i] = oracle.Item{ID: idBase + i, Point: p}
+	}
+	return items
+}
+
+// TestReverseSkylineGridTiesAgreeWithOracle runs the candidate-filtered and
+// BBRS pipelines on the integer grid {0..9}^d with q on a product: many
+// products and customers lie on q's axes, some points are exact duplicates
+// (within the products, and customers on products), and a product lies
+// exactly at q. The continuous fixtures never produce these ties, and the
+// candidate traversal files on-axis skyline members under several orthants.
+func TestReverseSkylineGridTiesAgreeWithOracle(t *testing.T) {
+	for _, d := range dims {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(int64(100*d) + seed))
+			products := gridItems(rng, 60, d, 0)
+			for i := 0; i < 5; i++ {
+				products = append(products, oracle.Item{ID: 60 + i, Point: products[i].Point.Clone()})
+			}
+			customers := gridItems(rng, 30, d, 10_000)
+			for i := 0; i < 5; i++ {
+				customers[i].Point = products[10+i].Point.Clone()
+			}
+			q := products[rng.Intn(len(products))].Point.Clone()
+			db := rskyline.NewDB(d, products, rtree.Config{})
+
+			label := fmt.Sprintf("d=%d seed=%d q=%v", d, seed, q)
+			mono := oracle.ReverseSkyline(products, products, q)
+			sameIDs(t, label+": mono filtered", db.ReverseSkylineFiltered(products, q), mono)
+			sameIDs(t, label+": BBRS", db.ReverseSkylineBBRS(q), mono)
+			sameIDs(t, label+": bichromatic filtered", db.ReverseSkylineFiltered(customers, q),
+				oracle.ReverseSkyline(products, customers, q))
+		}
+	}
+}
+
 // TestSafeRegionMembershipAgreesWithOracle compares constructed safe regions
 // — sequential, on DBs built at several worker counts, and cached — against the semantic oracle (every
 // RSL member retained) at sampled continuous positions, and checks the three

@@ -6,8 +6,10 @@
 // Membership is verified by the window-query test of §II of the paper: c is
 // in RSL(q) iff the window query centred at c with half-extent |c − q| finds
 // no product that dynamically dominates q with respect to c. A
-// Dellis–Seeger-style candidate filter based on the global skyline of P
-// (package skyline) prunes most customers before any window query runs.
+// Dellis–Seeger-style candidate filter prunes most customers before any
+// window query runs: a branch-and-bound traversal of the R*-tree finds the
+// global skyline of P (package skyline), and a customer any of its members
+// globally dominates is dropped.
 package rskyline
 
 import (
@@ -34,9 +36,10 @@ const NoExclude = -1
 //
 // All query methods are safe for concurrent use with each other and with
 // Insert/Delete: index traversals run under a read lock, mutations under a
-// write lock, and every memoised structure is either purged on mutation or
-// validated against the mutation generation. Only the raw Tree() accessor is
-// exempt — callers holding it must serialise against mutations themselves.
+// write lock, and the one memoised structure, the DSL cache, is purged on
+// mutation and validated against the mutation generation. Only the raw
+// Tree() accessor is exempt — callers holding it must serialise against
+// mutations themselves.
 type DB struct {
 	// treeMu serialises index mutations against traversals. Only the leaf
 	// methods that touch tree directly take it, and they never nest, so the
@@ -50,11 +53,6 @@ type DB struct {
 	// another generation as misses, which closes the compute-mutate-store
 	// invalidation race without holding any lock across a computation.
 	gen atomic.Uint64
-	// itemCache memoises Tree().Items() for the candidate-generation paths;
-	// guarded by itemMu and invalidated on mutation, so concurrent read-only
-	// queries stay race-free.
-	itemMu    sync.Mutex
-	itemCache []Item
 	// dsl memoises dynamic skylines per customer ID (nil = caching off).
 	dsl *exec.Cache[int, dslEntry]
 	// workers sizes every per-customer fan-out on this DB (reverse-skyline
@@ -161,32 +159,6 @@ func (db *DB) Delete(it Item) bool {
 func (db *DB) mutated() {
 	db.gen.Add(1)
 	db.dsl.Purge()
-	db.invalidateItems()
-}
-
-func (db *DB) invalidateItems() {
-	db.itemMu.Lock()
-	db.itemCache = nil
-	db.itemMu.Unlock()
-}
-
-// Items returns all products, memoised between mutations. Callers must not
-// modify the returned slice. Safe for concurrent use alongside other
-// read-only queries.
-func (db *DB) Items() []Item {
-	db.itemMu.Lock()
-	defer db.itemMu.Unlock()
-	if db.itemCache == nil {
-		db.itemCache = db.snapshotItems()
-	}
-	return db.itemCache
-}
-
-// snapshotItems reads the full item list under the tree read lock.
-func (db *DB) snapshotItems() []Item {
-	db.treeMu.RLock()
-	defer db.treeMu.RUnlock()
-	return db.tree.Items()
 }
 
 // WindowQuery returns Λ = window_query(c, q): every product inside the
@@ -372,16 +344,18 @@ func (db *DB) ReverseSkylineChecked(chk *cancel.Checker, customers []Item, q geo
 
 // ReverseSkylineFiltered computes RSL(q) with the global-skyline candidate
 // filter: a customer globally dominated (w.r.t. q) by any product cannot be
-// in RSL(q), and it suffices to test against the global skyline of P. The
-// surviving candidates are verified with window-existence queries. The result
-// is identical to ReverseSkyline; only the work differs.
+// in RSL(q), and it suffices to test against the global skyline of P, which
+// a branch-and-bound traversal of the index finds. The surviving candidates
+// are verified with window-existence queries. The result is identical to
+// ReverseSkyline, members in customer order; only the work differs. Passing
+// the products as the customers gives the monochromatic setting.
 func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
 	out, _ := db.ReverseSkylineFilteredChecked(nil, customers, q)
 	return out
 }
 
-// ReverseSkylineFilteredChecked is ReverseSkylineFiltered with a cancellation
-// checkpoint per customer.
+// ReverseSkylineFilteredChecked is ReverseSkylineFiltered with cooperative
+// cancellation in the candidate traversal and a checkpoint per customer.
 func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
 	cands, err := db.globalFilter(chk, customers, q)
 	if err != nil {
@@ -391,15 +365,15 @@ func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Ite
 }
 
 // globalFilter is the sequential filter pass of ReverseSkylineFiltered: it
-// keeps, in input order, the customers no global-skyline product dominates
-// with respect to q. The pass is a few dominance tests per customer, far
-// cheaper than handing each customer to a worker, so only its survivors fan
-// out.
+// keeps, in input order, the customers no global-skyline product other than
+// their own record dominates with respect to q. Past the traversal the pass
+// is about one dominance test per customer, far cheaper than handing each
+// customer to a worker, so only its survivors fan out.
 func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	if err := chk.Err(); err != nil {
+	gs, err := db.globalSkylineBBS(chk, q)
+	if err != nil {
 		return nil, err
 	}
-	gsp := skyline.GlobalSkyline(db.Items(), q)
 	var cands []Item
 	dt := 0
 	gdPruned := 0 // customers eliminated by the global-dominance filter
@@ -411,17 +385,9 @@ func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) 
 		if err := chk.Point(cancel.SiteCustomer); err != nil {
 			return nil, err
 		}
-		pruned := false
-		for _, p := range gsp {
-			if p.ID != c.ID {
-				dt++
-				if skyline.GlobalDominates(q, p.Point, c.Point) {
-					pruned = true
-					break
-				}
-			}
-		}
-		if pruned {
+		dominated, tests := gs.Dominates(c)
+		dt += tests
+		if dominated {
 			gdPruned++
 			continue
 		}
@@ -430,22 +396,13 @@ func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) 
 	return cands, nil
 }
 
-// ReverseSkylineMono computes RSL(q) in the monochromatic setting where the
-// customer preferences are the product records themselves (the paper's
-// experimental setup). Since a reverse-skyline member cannot be globally
-// dominated by any product, the candidates are exactly the global skyline of
-// the dataset, so only |GSP| window queries run instead of |P|.
-func (db *DB) ReverseSkylineMono(q geom.Point) []Item {
-	out, _ := db.verify(nil, skyline.GlobalSkyline(db.Items(), q), q)
-	return out
-}
-
 // ReverseSkylineBBRS computes RSL(q) in the monochromatic setting with the
 // full index-based BBRS pipeline (Dellis & Seeger, VLDB 2007): the global
 // skyline candidates come from a branch-and-bound traversal of the R*-tree
 // (touching only the index fraction that can contain candidates) and each
-// candidate is verified with an existence window query. Identical results to
-// ReverseSkylineMono.
+// candidate is verified with an existence window query. The members are
+// those of ReverseSkylineFiltered over the products, in the traversal's
+// discovery order rather than product order.
 func (db *DB) ReverseSkylineBBRS(q geom.Point) []Item {
 	out, _ := db.ReverseSkylineBBRSChecked(nil, q)
 	return out
@@ -455,11 +412,11 @@ func (db *DB) ReverseSkylineBBRS(q geom.Point) []Item {
 // cancellation in both the candidate traversal and the per-candidate
 // verification.
 func (db *DB) ReverseSkylineBBRSChecked(chk *cancel.Checker, q geom.Point) ([]Item, error) {
-	cands, err := db.globalSkylineBBS(chk, q)
+	gs, err := db.globalSkylineBBS(chk, q)
 	if err != nil {
 		return nil, err
 	}
-	return db.verify(chk, cands, q)
+	return db.verify(chk, gs.Members, q)
 }
 
 // verify is the refinement step every reverse-skyline variant ends in: one
@@ -487,7 +444,7 @@ func (db *DB) verify(chk *cancel.Checker, cands []Item, q geom.Point) ([]Item, e
 }
 
 // globalSkylineBBS runs the candidate traversal under the tree read lock.
-func (db *DB) globalSkylineBBS(chk *cancel.Checker, q geom.Point) ([]Item, error) {
+func (db *DB) globalSkylineBBS(chk *cancel.Checker, q geom.Point) (*skyline.GlobalSkyline, error) {
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	return skyline.GlobalSkylineBBSChecked(chk, db.tree, q)

@@ -1,10 +1,14 @@
 package rskyline
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/cancel"
+	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -272,10 +276,10 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		want := ids(db.ReverseSkylineMono(q))
+		want := ids(db.ReverseSkylineFiltered(products, q))
 		got := ids(db.ReverseSkylineBBRS(q))
 		if !equalInts(got, want) {
-			t.Fatalf("trial %d: BBRS=%v mono=%v", trial, got, want)
+			t.Fatalf("trial %d: BBRS=%v filtered=%v", trial, got, want)
 		}
 		plain := ids(db.ReverseSkyline(products, q))
 		if !equalInts(got, plain) {
@@ -287,41 +291,19 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	db := fig1DB()
 	want := []int{2, 3, 4, 6, 8}
-	if got := ids(db.ReverseSkylineMono(paperQ)); !equalInts(got, want) {
-		t.Fatalf("mono RSL = %v", got)
+	if got := ids(db.ReverseSkylineFiltered(fig1(), paperQ)); !equalInts(got, want) {
+		t.Fatalf("filtered RSL = %v", got)
+	}
+	if got := ids(db.ReverseSkyline(fig1(), paperQ)); !equalInts(got, want) {
+		t.Fatalf("direct RSL = %v", got)
 	}
 	if got := ids(db.ReverseSkylineBBRS(paperQ)); !equalInts(got, want) {
 		t.Fatalf("BBRS RSL = %v", got)
 	}
 }
 
-func TestItemsCacheInvalidation(t *testing.T) {
-	db := fig1DB()
-	a := db.Items()
-	if len(a) != 8 {
-		t.Fatalf("Items = %d", len(a))
-	}
-	if &a[0] != &db.Items()[0] {
-		t.Fatal("Items should be memoised between mutations")
-	}
-	db.Insert(Item{ID: 99, Point: geom.NewPoint(1, 1)})
-	if len(db.Items()) != 9 {
-		t.Fatal("cache not refreshed after Insert")
-	}
-	db.Delete(Item{ID: 99, Point: geom.NewPoint(1, 1)})
-	if len(db.Items()) != 8 {
-		t.Fatal("cache not refreshed after Delete")
-	}
-	// A failed delete must not invalidate.
-	b := db.Items()
-	db.Delete(Item{ID: 1234, Point: geom.NewPoint(0, 0)})
-	if &b[0] != &db.Items()[0] {
-		t.Fatal("failed delete should keep the cache")
-	}
-}
-
-// Concurrent read-only use of the DB must be race-free (Items memoisation,
-// access counting, window queries). Run with -race to enforce.
+// Concurrent read-only use of the DB must be race-free (candidate
+// traversals, access counting, window queries). Run with -race to enforce.
 func TestConcurrentReadsRaceFree(t *testing.T) {
 	products := randItems(2000, 2, 71)
 	db := NewDB(2, products, rtree.Config{})
@@ -336,7 +318,7 @@ func TestConcurrentReadsRaceFree(t *testing.T) {
 				db.WindowExists(c.Point, q, c.ID)
 				db.DynamicSkylineExcluding(c.Point, c.ID)
 				if i%10 == 0 {
-					db.ReverseSkylineMono(q)
+					db.ReverseSkylineFiltered(products, q)
 				}
 			}
 		}(int64(w))
@@ -384,6 +366,44 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("vacuous")
+	}
+}
+
+// cancelAtFirst cancels its query at the first checkpoint and records the
+// site of every checkpoint hit.
+type cancelAtFirst struct {
+	cancel context.CancelFunc
+	sites  []string
+}
+
+func (h *cancelAtFirst) Visit(site string, n uint64) {
+	h.sites = append(h.sites, site)
+	if n == 1 {
+		h.cancel()
+	}
+}
+
+// The filtered reverse skyline's candidate pass is an index traversal with a
+// checkpoint per node, so a cancellation stops it before the customer loop.
+func TestFilteredCancelsInCandidatePass(t *testing.T) {
+	products := datagen.Generate(datagen.CarDB, 5000, 2, 13)
+	db := NewDB(2, products, rtree.Config{})
+	u, _ := db.Universe()
+	ctx, cancelFn := context.WithCancel(context.Background())
+	defer cancelFn()
+	h := &cancelAtFirst{cancel: cancelFn}
+	chk := cancel.FromContext(cancel.WithHook(cancel.WithStride(ctx, 1), h))
+	_, err := db.ReverseSkylineFilteredChecked(chk, products, u.Center())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(h.sites) == 0 || h.sites[0] != cancel.SiteRTreeNode {
+		t.Fatalf("checkpoint sites %v: the first must be %s", h.sites, cancel.SiteRTreeNode)
+	}
+	for _, site := range h.sites {
+		if site == cancel.SiteCustomer {
+			t.Fatalf("checkpoint sites %v: %s fired after the cancellation", h.sites, cancel.SiteCustomer)
+		}
 	}
 }
 

@@ -7,6 +7,79 @@ import (
 	"repro/internal/rtree"
 )
 
+// GlobalSkyline is the global skyline of an indexed item set with respect
+// to q, as GlobalSkylineBBSChecked finds it: the members, and per canonical
+// orthant around q the members that can globally dominate into it.
+type GlobalSkyline struct {
+	// Members are the items no other item globally dominates, in discovery
+	// order (ascending transformed L1 distance from q).
+	Members []Item
+	q       geom.Point
+	// byOrthant[g] lists, in discovery order, the members that can globally
+	// dominate a point whose canonical orthant is g: those on g's side of q
+	// in every dimension where they are off q's axis. A member on one of q's
+	// axes is filed under the orthants on both sides of it; a record exactly
+	// at q is filed nowhere, since it blocks nobody (see GlobalDominates).
+	byOrthant [][]dominator
+	tr        geom.Point // Dominates' scratch transform
+}
+
+// dominator is a filed member: its ID and its transform |p − q|.
+type dominator struct {
+	id int
+	tr geom.Point
+}
+
+// canonOf returns p's canonical orthant around q: bit i is set when
+// p_i ≥ q_i, so zero offsets count as positive.
+func canonOf(p, q geom.Point) int {
+	mask := 0
+	for i := range q {
+		if p[i] >= q[i] {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// file appends a member to the list of every orthant it can dominate into:
+// its canonical orthant with each on-axis bit set either way.
+func (g *GlobalSkyline) file(id int, tr geom.Point, canon int) {
+	axis := 0
+	for i, v := range tr {
+		if v == 0 {
+			axis |= 1 << i
+		}
+	}
+	s := dominator{id: id, tr: tr}
+	for sub := axis; ; sub = (sub - 1) & axis {
+		m := canon&^axis | sub
+		g.byOrthant[m] = append(g.byOrthant[m], s)
+		if sub == 0 {
+			return
+		}
+	}
+}
+
+// Dominates reports whether a member other than c's own record globally
+// dominates c, and how many dominance tests that took. Only the members
+// filed under c's canonical orthant can: every other one lies strictly
+// across q from c, or off q's axis where c lies on it. It transforms c into
+// a scratch buffer, so a GlobalSkyline serves one goroutine at a time.
+func (g *GlobalSkyline) Dominates(c Item) (dominated bool, tests int) {
+	c.Point.TransformInto(g.q, g.tr)
+	for _, s := range g.byOrthant[canonOf(c.Point, g.q)] {
+		if s.id == c.ID {
+			continue
+		}
+		tests++
+		if s.tr.Dominates(g.tr) {
+			return true, tests
+		}
+	}
+	return false, tests
+}
+
 // GlobalSkylineBBS computes the global skyline with respect to q by
 // branch-and-bound over the R*-tree, in the style of the BBRS algorithm of
 // Dellis & Seeger (VLDB 2007): nodes are visited in ascending transformed
@@ -15,24 +88,21 @@ import (
 // orthant dominates its transformed lower corner. Subtrees straddling an
 // orthant boundary are never pruned (they are near q and cheap to expand).
 //
-// The result equals GlobalSkyline(tree.Items(), q) but touches only the part
-// of the index that can contain global-skyline points.
+// It touches only the part of the index that can contain global-skyline
+// points.
 func GlobalSkylineBBS(t *rtree.Tree, q geom.Point) []Item {
-	out, _ := GlobalSkylineBBSChecked(nil, t, q)
-	return out
+	gs, _ := GlobalSkylineBBSChecked(nil, t, q)
+	return gs.Members
 }
 
 // GlobalSkylineBBSChecked is GlobalSkylineBBS with cooperative cancellation:
 // the checker fires on every node/item expansion of the branch-and-bound
 // loop, and a cancelled traversal returns the context's error with a nil
-// result.
-func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) ([]Item, error) {
+// result. The result also answers global-dominance tests against its
+// members (Dominates).
+func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (*GlobalSkyline, error) {
 	d := len(q)
-	type skyPoint struct {
-		tr    geom.Point
-		canon int
-	}
-	var sky []skyPoint
+	gs := &GlobalSkyline{q: q, byOrthant: make([][]dominator, 1<<d), tr: make(geom.Point, d)}
 
 	// orthantOf returns the orthant mask of rect around q and whether the
 	// rect lies in a single closed orthant (zeros resolve to +).
@@ -51,54 +121,35 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 		return mask, true
 	}
 
-	// compatible reports whether a skyline point in canonical group sg can
-	// dominate points whose canonical group is g: sg must match g except
-	// where the skyline point sits exactly on q's axis (tr coordinate 0).
-	compatible := func(s skyPoint, g int) bool {
-		for i := 0; i < d; i++ {
-			if s.tr[i] == 0 {
-				continue // axis points dominate both sides
-			}
-			if (s.canon>>i)&1 != (g>>i)&1 {
-				return false
-			}
-		}
-		return true
-	}
-
 	// Per-traversal scratch for the pruned box's transformed bounds and the
 	// tested item's transform; only skyline members get their own copy.
 	trR := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
 	tr := make(geom.Point, d)
+	dt := 0
+	// Items discarded by dominance, at their entry (a point box) or at the
+	// item test; subtree prunes count on the tree only.
+	pruned := 0
 	prune := func(r geom.Rect) bool {
-		if len(sky) == 0 {
-			return false
-		}
 		g, single := orthantOf(r)
 		if !single {
 			return false
 		}
+		sky := gs.byOrthant[g]
+		if len(sky) == 0 {
+			return false
+		}
 		r.TransformMinMaxInto(q, trR)
 		for _, s := range sky {
-			if compatible(s, g) && s.tr.WeaklyDominates(trR.Lo) && !trR.Contains(s.tr) {
+			if s.tr.WeaklyDominates(trR.Lo) && !trR.Contains(s.tr) {
+				if r.Lo.Equal(r.Hi) {
+					pruned++
+				}
 				return true
 			}
 		}
 		return false
 	}
 
-	canonOf := func(p geom.Point) int {
-		mask := 0
-		for i := 0; i < d; i++ {
-			if p[i] >= q[i] {
-				mask |= 1 << i
-			}
-		}
-		return mask
-	}
-
-	var out []Item
-	dt := 0
 	err := t.BestFirstChecked(
 		chk,
 		// The transformed coordinate sums, as in DynamicBBSExcludingChecked.
@@ -107,13 +158,12 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 		prune,
 		func(it Item, _ float64) bool {
 			it.Point.TransformInto(q, tr)
-			g := canonOf(it.Point)
-			for _, s := range sky {
-				if compatible(s, g) {
-					dt++
-					if s.tr.Dominates(tr) {
-						return true
-					}
+			g := canonOf(it.Point, q)
+			for _, s := range gs.byOrthant[g] {
+				dt++
+				if s.tr.Dominates(tr) {
+					pruned++
+					return true
 				}
 			}
 			// A record exactly at q (all-zero transform) is a global-skyline
@@ -121,15 +171,16 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 			// distance in every dimension and blocks nobody (see
 			// GlobalDominates).
 			if !zeroPoint(tr) {
-				sky = append(sky, skyPoint{tr: tr.Clone(), canon: g})
+				gs.file(it.ID, tr.Clone(), g)
 			}
-			out = append(out, it)
+			gs.Members = append(gs.Members, it)
 			return true
 		},
 	)
 	obs.AddDominanceTests(dt)
+	obs.AddPruned(pruned)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return gs, nil
 }

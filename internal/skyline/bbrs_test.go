@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 )
 
@@ -19,14 +20,22 @@ func TestGlobalSkylineBBSMatchesScan(t *testing.T) {
 				for d := range q {
 					q[d] = rng.Float64() * 100
 				}
-				want := idSet(GlobalSkyline(items, q))
-				got := idSet(GlobalSkylineBBS(tr, q))
+				want := idSet(naiveGlobalSkyline(items, q))
+				gs, _ := GlobalSkylineBBSChecked(nil, tr, q)
+				got := idSet(gs.Members)
 				if len(got) != len(want) {
 					t.Fatalf("dims=%d seed=%d: BBS=%d scan=%d", dims, seed, len(got), len(want))
 				}
 				for id := range want {
 					if !got[id] {
 						t.Fatalf("dims=%d seed=%d: missing %d", dims, seed, id)
+					}
+				}
+				// The filter's test: an item is dominated by a member other
+				// than itself exactly when it is not a member.
+				for _, it := range items {
+					if dominated, _ := gs.Dominates(it); dominated == want[it.ID] {
+						t.Fatalf("dims=%d seed=%d: Dominates(%d) = %v, member = %v", dims, seed, it.ID, dominated, want[it.ID])
 					}
 				}
 			}
@@ -40,7 +49,7 @@ func TestGlobalSkylineBBSQueryOnDataPoint(t *testing.T) {
 	items := randItems(300, 2, 900)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	q := items[42].Point
-	want := idSet(GlobalSkyline(items, q))
+	want := idSet(naiveGlobalSkyline(items, q))
 	got := idSet(GlobalSkylineBBS(tr, q))
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%d scan=%d", len(got), len(want))
@@ -67,7 +76,7 @@ func TestGlobalSkylineBBSAxisTies(t *testing.T) {
 		{ID: 5, Point: geom.NewPoint(5, 4)},
 	}
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	want := idSet(GlobalSkyline(items, q))
+	want := idSet(naiveGlobalSkyline(items, q))
 	got := idSet(GlobalSkylineBBS(tr, q))
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%v scan=%v", got, want)
@@ -106,5 +115,19 @@ func TestBranchAndBoundAccessEfficiency(t *testing.T) {
 	dsl := tr.Accesses()
 	if dsl <= 0 || dsl > total/3 {
 		t.Errorf("DynamicBBS touched %d of %d nodes; expected a small fraction", dsl, total)
+	}
+}
+
+// GlobalSkylineBBS counts the items it discards by dominance into the
+// pruned-entries cost counter: some on any sizeable input, and never more
+// than the non-members.
+func TestGlobalSkylineBBSCountsDiscards(t *testing.T) {
+	items := randItems(20000, 2, 951)
+	tr := rtree.BulkLoad(2, items, rtree.Config{})
+	before := obs.Cost().PrunedEntries
+	sky := GlobalSkylineBBS(tr, geom.NewPoint(50, 50))
+	got := obs.Cost().PrunedEntries - before
+	if got == 0 || got > uint64(len(items)-len(sky)) {
+		t.Fatalf("counted %d discarded items; want 1..%d", got, len(items)-len(sky))
 	}
 }

@@ -2,8 +2,8 @@
 // static skylines (Definition 1) via block-nested-loops, sort-filter-skyline
 // and divide & conquer; the branch-and-bound skyline (BBS) of Papadias et al.
 // over an R*-tree; dynamic skylines (Definition 2) computed in the space
-// transformed around a centre point; the orthant-aware global skyline used to
-// prune reverse-skyline candidates; and the k-sampled approximate dynamic
+// transformed around a centre point; the branch-and-bound global skyline used
+// to prune reverse-skyline candidates; and the k-sampled approximate dynamic
 // skyline of §VI.B.1.
 //
 // Dominance is strict throughout (≤ in every dimension, < in at least one),
@@ -357,125 +357,6 @@ func GlobalDominates(q, a, b geom.Point) bool {
 		return false // a record at q ties every window distance
 	}
 	return geom.DynDominates(q, a, b)
-}
-
-// GlobalSkyline returns the items not globally dominated by any other item
-// with respect to q. It is a superset of RSL(q) candidates.
-//
-// The computation partitions the data by orthant around q: dominators of a
-// point must lie in the same closed orthant, with points on an orthant
-// boundary (a coordinate equal to q's) acting as dominators on both sides.
-// One transformed-space skyline pass per orthant gives O(2^d · n log n)
-// instead of the naive O(n²).
-func GlobalSkyline(items []Item, q geom.Point) []Item {
-	d := len(q)
-	groups := 1 << d
-	byGroup := make([][]int32, groups)
-	canonical := make([]int, len(items))
-	// One backing array for every transformed point and a precomputed sort
-	// key keep the allocator and the comparator out of the hot path.
-	backing := make([]float64, len(items)*d)
-	keys := make([]float64, len(items))
-	for idx, it := range items {
-		tr := backing[idx*d : (idx+1)*d : (idx+1)*d]
-		var sum float64
-		for i := 0; i < d; i++ {
-			v := it.Point[i] - q[i]
-			if v < 0 {
-				v = -v
-			}
-			tr[i] = v
-			sum += v
-		}
-		keys[idx] = sum
-		// The canonical group takes zero offsets as positive; compatible
-		// groups branch on every zero coordinate.
-		canon := 0
-		var zeros []int
-		for i := 0; i < d; i++ {
-			switch {
-			case it.Point[i] > q[i]:
-				canon |= 1 << i
-			case it.Point[i] == q[i]:
-				canon |= 1 << i
-				zeros = append(zeros, i)
-			}
-		}
-		canonical[idx] = canon
-		if len(zeros) == 0 {
-			byGroup[canon] = append(byGroup[canon], int32(idx))
-			continue
-		}
-		// Enumerate all groups compatible with the point's sign pattern.
-		masks := []int{canon}
-		for _, z := range zeros {
-			for _, m := range masks {
-				masks = append(masks, m&^(1<<z))
-			}
-			masks = masks[:dedupInts(masks)]
-		}
-		for _, m := range masks {
-			byGroup[m] = append(byGroup[m], int32(idx))
-		}
-	}
-	survives := make([]bool, len(items))
-	dt := 0
-	pruned := 0 // canonical-group eliminations only: each item at most once
-	for g := 0; g < groups; g++ {
-		ms := byGroup[g]
-		if len(ms) == 0 {
-			continue
-		}
-		sort.Slice(ms, func(i, j int) bool { return keys[ms[i]] < keys[ms[j]] })
-		var sky []geom.Point
-		for _, idx := range ms {
-			tr := geom.Point(backing[int(idx)*d : (int(idx)+1)*d])
-			dominated := false
-			for _, s := range sky {
-				dt++
-				if s.Dominates(tr) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				// A record exactly at q (all-zero transform, key 0) is a
-				// skyline member but dominates nothing: it ties every
-				// customer's window distance in every dimension, so it must
-				// not eliminate other candidates (see GlobalDominates).
-				if keys[idx] != 0 {
-					sky = append(sky, tr)
-				}
-				if canonical[idx] == g {
-					survives[idx] = true
-				}
-			} else if canonical[idx] == g {
-				pruned++
-			}
-		}
-	}
-	var out []Item
-	for idx, ok := range survives {
-		if ok {
-			out = append(out, items[idx])
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return out
-}
-
-// dedupInts compacts duplicates in place and returns the new length.
-func dedupInts(a []int) int {
-	sort.Ints(a)
-	n := 0
-	for i, v := range a {
-		if i == 0 || v != a[n-1] {
-			a[n] = v
-			n++
-		}
-	}
-	return n
 }
 
 // ApproxDynamic returns the k-sampled approximation of a dynamic skyline

@@ -343,7 +343,7 @@ func TestGlobalDominanceSoundness(t *testing.T) {
 func TestGlobalSkylineSuperset(t *testing.T) {
 	items := randItems(200, 2, 31)
 	q := geom.NewPoint(50, 50)
-	gs := idSet(GlobalSkyline(items, q))
+	gs := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	// Every dynamic skyline point must be in the global skyline.
 	for _, it := range Dynamic(items, q) {
 		if !gs[it.ID] {
@@ -413,7 +413,7 @@ func TestApproxDynamicSmallDSL(t *testing.T) {
 	}
 }
 
-// naiveGlobalSkyline is the O(n²) oracle for the orthant-partitioned version.
+// naiveGlobalSkyline is the O(n²) oracle for the branch-and-bound version.
 func naiveGlobalSkyline(items []Item, q geom.Point) []Item {
 	var sky []Item
 	for i, cand := range items {
@@ -441,7 +441,7 @@ func TestGlobalSkylineMatchesNaive(t *testing.T) {
 			q[d] = rng.Float64() * 100
 		}
 		want := idSet(naiveGlobalSkyline(items, q))
-		got := idSet(GlobalSkyline(items, q))
+		got := idSet(GlobalSkylineBBS(rtree.BulkLoad(dims, items, rtree.Config{}), q))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: fast=%d naive=%d", trial, len(got), len(want))
 		}
@@ -463,7 +463,7 @@ func TestGlobalSkylineBoundaryPoints(t *testing.T) {
 		{ID: 4, Point: geom.NewPoint(3, 5)}, // on the horizontal axis, dist (2,0)
 	}
 	want := idSet(naiveGlobalSkyline(items, q))
-	got := idSet(GlobalSkyline(items, q))
+	got := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	if len(got) != len(want) {
 		t.Fatalf("fast=%v naive=%v", got, want)
 	}
@@ -496,7 +496,7 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 
 	// RSL semantics: with a record at q present, every customer whose window
 	// membership is unaffected must stay a candidate. Compare the global
-	// skyline (scan and BBS) against the brute-force reverse skyline.
+	// skyline (naive and BBS) against the brute-force reverse skyline.
 	items := randItems(200, 2, 77)
 	items = append(items, Item{ID: 9999, Point: append(geom.Point(nil), q...)})
 	inRSL := func(c Item) bool {
@@ -507,7 +507,7 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 		}
 		return true
 	}
-	gs := idSet(GlobalSkyline(items, q))
+	gs := idSet(naiveGlobalSkyline(items, q))
 	bbs := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	members := 0
 	for _, c := range items {
@@ -516,7 +516,7 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 		}
 		members++
 		if !gs[c.ID] {
-			t.Errorf("RSL member %d pruned from GlobalSkyline by the record at q", c.ID)
+			t.Errorf("RSL member %d pruned from the naive global skyline by the record at q", c.ID)
 		}
 		if !bbs[c.ID] {
 			t.Errorf("RSL member %d pruned from GlobalSkylineBBS by the record at q", c.ID)

@@ -78,8 +78,14 @@ vet-wal: vet
 # into rskyline.DB.SetWorkers). The query packages and the facade must not
 # grow a second way to pass one: no exported *Parallel / *ParallelCtx /
 # *ParallelContext twin, no exported function taking `workers int`, and no
-# Workers field in engine.Config. Tests and the cmd/ front-ends are exempt.
+# Workers field in engine.Config. Per-query state has one carrier too, the
+# context: from the facade down to the reverse-skyline layer no function
+# takes a *cancel.Checker, *obs.Trace or *explain.Builder parameter (on the
+# signature line, or on its own line of a wrapped parameter list), and no
+# exported *Checked twin exists. Tests and the cmd/ front-ends are exempt.
 SURFACE_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/rskyline/*.go internal/whynot/*.go internal/engine/*.go)) repro.go
+CARRIER_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/rskyline/*.go internal/whynot/*.go internal/exec/*.go)) repro.go
+CARRIER_TYPES = \*(cancel\.Checker|obs\.Trace|explain\.Builder)
 vet-surface: vet
 	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Parallel(Ctx|Context)?\(' $(SURFACE_LINT_FILES) || true); \
 	if [ -n "$$bad" ]; then \
@@ -94,6 +100,18 @@ vet-surface: vet
 	@bad=$$(awk '/^type Config struct/ {c = 1} c && /^}/ {c = 0} c && /^[[:space:]]+Workers[[:space:]]/ {print FILENAME ":" FNR ": " $$0}' internal/engine/*.go); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-surface: engine.Config has a Workers field (the rungs use the DB's worker count):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE -e 'func[[:space:]]*(\([^)]*\)[[:space:]]*)?[A-Za-z0-9_]*\([^)]*$(CARRIER_TYPES)' \
+		-e '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+$(CARRIER_TYPES),$$' \
+		$(CARRIER_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: checker, trace or plan builder passed as a parameter (the context carries them; bind the checker with cancel.Bind):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Checked\(' $(CARRIER_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: exported *Checked twin (the ctx-first method is the one body):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "vet-surface: OK"
@@ -114,7 +132,7 @@ race:
 # packages whose whole point is concurrency correctness. Redundant with `race` but kept separate so the critical slice
 # has its own fast signal.
 race-core:
-	$(GO) test -race -short ./internal/exec/... ./internal/oracle/... ./internal/rskyline/... ./internal/skyline/... ./internal/server/... ./internal/wal/... ./internal/sim/...
+	$(GO) test -race -short ./internal/exec/... ./internal/cancel/... ./internal/whynot/... ./internal/engine/... ./internal/oracle/... ./internal/rskyline/... ./internal/skyline/... ./internal/server/... ./internal/wal/... ./internal/sim/...
 
 # The why-not benchmark (benchmark/, run by benchmark/run.sh) is a module of
 # its own, so `go build ./...` and `go test ./...` above skip it. Vetting and

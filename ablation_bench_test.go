@@ -69,7 +69,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 		b.Run(benchName("page", page), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				c := items[n%len(items)]
-				db.WindowExists(c.Point, q, c.ID)
+				db.WindowExistsCtx(bg, c.Point, q, c.ID)
 			}
 		})
 	}
@@ -83,7 +83,7 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	q := NewPoint(500, 500)
 	b.Run("unfiltered", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkyline(items, q)
+			db.ReverseSkylineCtx(bg, items, q)
 		}
 	})
 	b.Run("global-filter", func(b *testing.B) {
@@ -93,7 +93,7 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	})
 	b.Run("bbrs-index", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkylineBBRS(q)
+			db.ReverseSkylineBBRSCtx(bg, q)
 		}
 	})
 }
@@ -106,7 +106,7 @@ func BenchmarkAblationRegionPrune(b *testing.B) {
 	// Collect the per-customer anti-DDRs once.
 	var parts []region.Set
 	for _, c := range qc.RSL {
-		parts = append(parts, s.Engine.AntiDDROf(c))
+		parts = append(parts, must(s.Engine.AntiDDROfCtx(bg, c)))
 	}
 	b.Run("with-prune", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
@@ -179,7 +179,7 @@ func BenchmarkAblationIndexSubstrate(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				c := items[n%len(items)]
 				q := items[(n*7+1)%len(items)]
-				db.WindowExists(c.Point, q.Point, c.ID)
+				db.WindowExistsCtx(bg, c.Point, q.Point, c.ID)
 			}
 		})
 		b.Run(kind.String()+"/grid", func(b *testing.B) {

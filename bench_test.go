@@ -161,7 +161,7 @@ func BenchmarkFig15MWQ(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.MWQExact(qc.WhyNot, qc.Q, qc.RSL, whynot.Options{})
+		e.MWQExactCtx(bg, qc.WhyNot, qc.Q, qc.RSL, whynot.Options{})
 	}
 }
 
@@ -212,7 +212,7 @@ func BenchmarkWindowExistenceQuery(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		c := items[rng.Intn(len(items))]
-		db.WindowExists(c.Point, q, c.ID)
+		db.WindowExistsCtx(bg, c.Point, q, c.ID)
 	}
 }
 
@@ -221,7 +221,7 @@ func BenchmarkDynamicSkylineBBS(b *testing.B) {
 	db := rskyline.NewDB(2, items, rtree.Config{})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.DynamicSkyline(NewPoint(500, 500))
+		db.DynamicSkylineCtx(bg, NewPoint(500, 500))
 	}
 }
 
@@ -239,28 +239,13 @@ func BenchmarkReverseSkylineUnfiltered(b *testing.B) {
 	db := rskyline.NewDB(2, items, rtree.Config{})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.ReverseSkyline(items, NewPoint(500, 500))
+		db.ReverseSkylineCtx(bg, items, NewPoint(500, 500))
 	}
 }
 
 func BenchmarkStaticSkylineAlgorithms(b *testing.B) {
 	items := benchItems(benchSize)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	b.Run("BNL", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.BNL(items)
-		}
-	})
-	b.Run("SFS", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.SFS(items)
-		}
-	})
-	b.Run("DC", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.DC(items)
-		}
-	})
 	b.Run("BBS", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			skyline.BBS(tr)
@@ -293,7 +278,7 @@ func benchCarDB50K(b *testing.B) ([]Item, Point, []Item) {
 			for j := range q {
 				q[j] *= 1.01
 			}
-			if rsl := db.ReverseSkylineBBRS(q); len(rsl) >= 16 {
+			if rsl := must(db.ReverseSkylineBBRSCtx(bg, q)); len(rsl) >= 16 {
 				carDB50K.items, carDB50K.q, carDB50K.rsl = items, q, rsl[:16]
 				return
 			}

@@ -9,9 +9,10 @@ import (
 )
 
 // TestDBFlightRecorder pins the embedded-use recorder: DBOptions.FlightSize
-// turns on a per-DB ledger that records one QueryRecord per Context entry
-// point with Source "db", and the tail sampler keeps failed queries' traces
-// exactly as the server's recorder does.
+// turns on a per-DB ledger that records one QueryRecord, with Source "db",
+// per query entering the DB through any entry point, context-free or
+// Context, and the tail sampler keeps failed queries' traces exactly as the
+// server's recorder does.
 func TestDBFlightRecorder(t *testing.T) {
 	items := fig1()
 	q := NewPoint(8.5, 55)
@@ -38,6 +39,65 @@ func TestDBFlightRecorder(t *testing.T) {
 	}
 	if rec.Outcome != flight.OutcomeOK {
 		t.Errorf("outcome = %q, want ok", rec.Outcome)
+	}
+
+	// Every entry point, in both forms, leaves exactly one record carrying
+	// its op name.
+	ct := items[0]
+	rsl := db.ReverseSkyline(items, q)
+	sr := db.SafeRegion(q, rsl)
+	store := db.BuildApproxStore(rsl, 5)
+	for _, tc := range []struct {
+		name, op string
+		call     func()
+	}{
+		{"DynamicSkyline", "dsl", func() { db.DynamicSkyline(q) }},
+		{"DynamicSkylineContext", "dsl", func() { db.DynamicSkylineContext(bg, q) }},
+		{"ReverseSkyline", "rsl", func() { db.ReverseSkyline(items, q) }},
+		{"ReverseSkylineContext", "rsl", func() { db.ReverseSkylineContext(bg, items, q) }},
+		{"IsReverseSkyline", "rsl-member", func() { db.IsReverseSkyline(ct, q) }},
+		{"IsReverseSkylineContext", "rsl-member", func() { db.IsReverseSkylineContext(bg, ct, q) }},
+		{"ReverseSkylineBBRS", "rsl-bbrs", func() { db.ReverseSkylineBBRS(q) }},
+		{"ReverseSkylineBBRSContext", "rsl-bbrs", func() { db.ReverseSkylineBBRSContext(bg, q) }},
+		{"Explain", "explain", func() { db.Explain(ct, q) }},
+		{"ExplainContext", "explain", func() { db.ExplainContext(bg, ct, q) }},
+		{"MWP", "mwp", func() { db.MWP(ct, q, Options{}) }},
+		{"MWPContext", "mwp", func() { db.MWPContext(bg, ct, q, Options{}) }},
+		{"MQP", "mqp", func() { db.MQP(ct, q, Options{}) }},
+		{"MQPContext", "mqp", func() { db.MQPContext(bg, ct, q, Options{}) }},
+		{"MQPTotalCost", "mqp-cost", func() { db.MQPTotalCost(q, ct.Point, rsl, sr, Options{}) }},
+		{"MQPTotalCostContext", "mqp-cost", func() { db.MQPTotalCostContext(bg, q, ct.Point, rsl, sr, Options{}) }},
+		{"SafeRegion", "saferegion", func() { db.SafeRegion(q, rsl) }},
+		{"SafeRegionContext", "saferegion", func() { db.SafeRegionContext(bg, q, rsl) }},
+		{"ApproxSafeRegionContext", "approx-saferegion", func() { db.ApproxSafeRegionContext(bg, q, rsl, store) }},
+		{"AntiDominanceRegion", "antiddr", func() { db.AntiDominanceRegion(ct) }},
+		{"AntiDominanceRegionContext", "antiddr", func() { db.AntiDominanceRegionContext(bg, ct) }},
+		{"MWQ", "mwq", func() { db.MWQ(ct, q, sr, Options{}) }},
+		{"MWQContext", "mwq", func() { db.MWQContext(bg, ct, q, sr, Options{}) }},
+		{"MWQExact", "mwq", func() { db.MWQExact(ct, q, rsl, Options{}) }},
+		{"MWQExactContext", "mwq", func() { db.MWQExactContext(bg, ct, q, rsl, Options{}) }},
+		{"MWQApprox", "approx-mwq", func() { db.MWQApprox(ct, q, rsl, store, Options{}) }},
+		{"MWQApproxContext", "approx-mwq", func() { db.MWQApproxContext(bg, ct, q, rsl, store, Options{}) }},
+		{"MWQBatch", "mwq-batch", func() { db.MWQBatch([]Item{ct}, q, rsl, Options{}) }},
+		{"MWQBatchContext", "mwq-batch", func() { db.MWQBatchContext(bg, []Item{ct}, q, rsl, Options{}) }},
+		{"LostCustomers", "lost-customers", func() { db.LostCustomers(ct.Point, rsl) }},
+		{"LostCustomersContext", "lost-customers", func() { db.LostCustomersContext(bg, ct.Point, rsl) }},
+		{"BuildApproxStore", "buildstore", func() { db.BuildApproxStore(rsl, 5) }},
+		{"BuildApproxStoreContext", "buildstore", func() { db.BuildApproxStoreContext(bg, rsl, 5) }},
+		{"ValidateWhyNotMove", "validate-mwp", func() { db.ValidateWhyNotMove(ct, q, ct.Point, 1e-7) }},
+		{"ValidateWhyNotMoveContext", "validate-mwp", func() { db.ValidateWhyNotMoveContext(bg, ct, q, ct.Point, 1e-7) }},
+		{"ValidateQueryMove", "validate-mqp", func() { db.ValidateQueryMove(ct, q, 1e-7) }},
+		{"ValidateQueryMoveContext", "validate-mqp", func() { db.ValidateQueryMoveContext(bg, ct, q, 1e-7) }},
+	} {
+		before := led.Totals().Finished
+		tc.call()
+		if got := led.Totals().Finished - before; got != 1 {
+			t.Errorf("%s left %d flight records, want 1", tc.name, got)
+			continue
+		}
+		if rec := led.Recent(1)[0]; rec.Op != tc.op {
+			t.Errorf("%s record op = %q, want %q", tc.name, rec.Op, tc.op)
+		}
 	}
 
 	// A query entering with a dead deadline fails at the boundary; its record

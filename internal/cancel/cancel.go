@@ -7,7 +7,26 @@
 // every stride checkpoint hits (a counter increment and a branch otherwise),
 // and checkpoints sit at node-visit / candidate-expansion granularity, never
 // per point. A nil *Checker is valid everywhere and reduces every checkpoint
-// to a nil check, so the legacy context-free entry points pay nothing.
+// to a nil check.
+//
+// The context is the only carrier of a query's cancellation state. An
+// operation's call boundary binds the calling goroutine's Checker into the
+// context (Enter, Bind), every layer below looks it up once per call (Bind
+// again, which finds and reuses it), and the index, skyline and region loops
+// take the checker itself so no checkpoint pays a context lookup. The
+// binding rules:
+//
+//   - one Checker per goroutine per query: nested calls on one goroutine
+//     share it, so hook visit numbers and the stride cadence follow the
+//     query, not the call graph;
+//   - a Checker never crosses goroutines: a worker starting under a bound
+//     context binds its own with Fork;
+//   - a bound Checker is reused only under the same cancellation source: a
+//     context derived later with its own Done channel (a tighter deadline)
+//     or its own hook gets a fresh Checker, so the tighter deadline is never
+//     ignored;
+//   - a context that can never be cancelled and carries no hook binds
+//     nothing, and its checkpoints stay nil checks.
 //
 // Checkpoints also consult an optional fault-injection Hook carried by the
 // context (see internal/engine/faultinject): tests use it to trigger
@@ -70,20 +89,29 @@ type Hook interface {
 type ctxKey int
 
 const (
-	hookKey ctxKey = iota
+	sourceKey ctxKey = iota
 	strideKey
 )
 
-// WithHook returns a context carrying a fault-injection hook; every Checker
-// built from the returned context consults it at each checkpoint.
-func WithHook(ctx context.Context, h Hook) context.Context {
-	return context.WithValue(ctx, hookKey, h)
+// source is the one context value that carries a query's cancellation
+// state: the hook in force and, once Bind ran, the Checker bound for it.
+// WithHook and Bind share the key, so the innermost source is always the
+// current one: a checker bound before a later WithHook is shadowed, never
+// reused with the wrong hook.
+type source struct {
+	hook Hook
+	chk  *Checker
 }
 
-// HookFrom extracts the hook installed by WithHook, or nil.
-func HookFrom(ctx context.Context) Hook {
-	h, _ := ctx.Value(hookKey).(Hook)
-	return h
+func sourceFrom(ctx context.Context) *source {
+	s, _ := ctx.Value(sourceKey).(*source)
+	return s
+}
+
+// WithHook returns a context carrying a fault-injection hook; every Checker
+// bound under the returned context consults it at each checkpoint.
+func WithHook(ctx context.Context, h Hook) context.Context {
+	return context.WithValue(ctx, sourceKey, &source{hook: h})
 }
 
 // WithStride overrides the checkpoint-to-context-poll ratio for checkers
@@ -104,7 +132,7 @@ func strideFrom(ctx context.Context) uint64 {
 }
 
 // Checker is the per-query cancellation probe. It is deliberately not safe
-// for concurrent use — build one per goroutine with FromContext; the
+// for concurrent use — each goroutine binds its own (Bind, Fork); the
 // underlying context and hook may be shared freely.
 type Checker struct {
 	ctx    context.Context
@@ -115,20 +143,52 @@ type Checker struct {
 	err    error
 }
 
-// FromContext builds a Checker for one query (or one worker goroutine of a
-// parallel query). It returns nil — the zero-overhead checker — when the
-// context can never be cancelled and carries no hook, so plumbing a
-// context.Background() query through the checked paths costs nothing.
-func FromContext(ctx context.Context) *Checker {
-	if ctx == nil {
-		return nil
+// Enter is the guard at the call boundary of a query operation: a context
+// that is already done is rejected with its error before any work, and an
+// active one gets the calling goroutine's Checker bound (Bind) for every
+// layer below to share.
+func Enter(ctx context.Context) (context.Context, error) {
+	if err := ctx.Err(); err != nil {
+		return ctx, err
 	}
-	hook := HookFrom(ctx)
+	ctx, _ = Bind(ctx)
+	return ctx, nil
+}
+
+// Bind returns the calling goroutine's Checker for ctx and a context
+// carrying it. A Checker already bound in ctx is reused when it was built
+// from ctx's own Done channel and hook; otherwise a fresh one is bound. A
+// context that can never be cancelled and carries no hook binds nothing:
+// Bind returns ctx unchanged and the zero-overhead nil Checker.
+//
+// A bound context belongs to the goroutine that bound it. Hand work under it
+// to another goroutine only through Fork.
+func Bind(ctx context.Context) (context.Context, *Checker) {
+	s := sourceFrom(ctx)
 	done := ctx.Done()
-	if done == nil && hook == nil {
-		return nil
+	if s != nil && s.chk != nil && s.chk.done == done {
+		return ctx, s.chk
 	}
-	return &Checker{ctx: ctx, done: done, hook: hook, stride: strideFrom(ctx)}
+	return bind(ctx, s, done)
+}
+
+// Fork is Bind for a goroutine starting work under ctx: it always binds a
+// fresh Checker, since one found in ctx belongs to the goroutine that bound
+// it.
+func Fork(ctx context.Context) (context.Context, *Checker) {
+	return bind(ctx, sourceFrom(ctx), ctx.Done())
+}
+
+func bind(ctx context.Context, s *source, done <-chan struct{}) (context.Context, *Checker) {
+	var hook Hook
+	if s != nil {
+		hook = s.hook
+	}
+	if done == nil && hook == nil {
+		return ctx, nil
+	}
+	chk := &Checker{ctx: ctx, done: done, hook: hook, stride: strideFrom(ctx)}
+	return context.WithValue(ctx, sourceKey, &source{hook: hook, chk: chk}), chk
 }
 
 // Point is the checkpoint. It returns the context's error once cancellation
@@ -164,16 +224,6 @@ func (c *Checker) poll() error {
 	default:
 	}
 	return c.err
-}
-
-// Context returns the context the checker was built from, or nil for the
-// zero-overhead nil checker. Parallel executors use it to build one fresh
-// Checker per worker goroutine (Checkers themselves are single-goroutine).
-func (c *Checker) Context() context.Context {
-	if c == nil {
-		return nil
-	}
-	return c.ctx
 }
 
 // Err returns the cancellation error observed by an earlier Point, or nil.

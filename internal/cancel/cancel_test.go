@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestNilCheckerIsFree(t *testing.T) {
@@ -16,19 +17,74 @@ func TestNilCheckerIsFree(t *testing.T) {
 	}
 }
 
+// A checker taken from a context that can never be cancelled and carries no
+// hook is the zero-overhead nil checker, and nothing is bound.
 func TestFromContextBackgroundIsNil(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("background context must yield the zero-overhead nil checker")
+	ctx := context.Background()
+	if got, chk := Bind(ctx); chk != nil || got != ctx {
+		t.Fatal("background context must bind nothing and yield the zero-overhead nil checker")
 	}
-	if FromContext(nil) != nil {
-		t.Fatal("nil context must yield nil checker")
+	if _, chk := Fork(ctx); chk != nil {
+		t.Fatal("Fork of a background context must yield the nil checker too")
+	}
+	got, err := Enter(ctx)
+	if err != nil || got != ctx {
+		t.Fatalf("Enter(background) = %v, %v; want ctx unchanged and no error", got, err)
+	}
+}
+
+func TestEnterRejectsDoneContext(t *testing.T) {
+	ctx, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	if _, err := Enter(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Enter(cancelled) = %v, want Canceled", err)
+	}
+}
+
+// TestBindReusesOnlyUnderSameSource pins the binding rules: nested Binds on
+// one goroutine share one checker, a value-only derivation keeps it, and a
+// context with its own Done channel, its own hook, or no cancellation at all
+// does not reuse it.
+func TestBindReusesOnlyUnderSameSource(t *testing.T) {
+	parent, cancelParent := context.WithCancel(context.Background())
+	defer cancelParent()
+	bound, chk := Bind(parent)
+	if chk == nil {
+		t.Fatal("cancellable context must bind a checker")
+	}
+	if again, chk2 := Bind(bound); chk2 != chk || again != bound {
+		t.Fatal("nested Bind must reuse the bound checker without a new binding")
+	}
+	type key struct{}
+	if _, chk2 := Bind(context.WithValue(bound, key{}, 1)); chk2 != chk {
+		t.Fatal("a value-only derivation shares the cancellation source and must reuse the checker")
+	}
+	if _, chk2 := Fork(bound); chk2 == nil || chk2 == chk {
+		t.Fatal("Fork must bind a fresh checker")
+	}
+
+	child, cancelChild := context.WithTimeout(bound, time.Hour)
+	defer cancelChild()
+	if _, chk2 := Bind(child); chk2 == nil || chk2 == chk {
+		t.Fatal("a derived deadline must get its own checker")
+	}
+	h := &recordingHook{}
+	_, chk2 := Bind(WithHook(bound, h))
+	if chk2 == nil || chk2 == chk {
+		t.Fatal("a context with its own hook must get its own checker")
+	}
+	if err := chk2.Point(SiteRTreeNode); err != nil || len(h.sites) != 1 {
+		t.Fatal("the fresh checker must consult the new hook")
+	}
+	if _, chk2 := Bind(context.WithoutCancel(bound)); chk2 != nil {
+		t.Fatal("a context that cannot be cancelled and has no hook must bind nothing")
 	}
 }
 
 func TestStrideAmortisation(t *testing.T) {
 	ctx, cancelFn := context.WithCancel(context.Background())
 	ctx = WithStride(ctx, 10)
-	chk := FromContext(ctx)
+	_, chk := Bind(ctx)
 	if chk == nil {
 		t.Fatal("cancellable context must yield a checker")
 	}
@@ -73,7 +129,7 @@ func TestHookSeesEveryHitAndImmediatePoll(t *testing.T) {
 			cancelFn()
 		}
 	}
-	chk := FromContext(WithStride(WithHook(ctx, h), 1000))
+	_, chk := Bind(WithStride(WithHook(ctx, h), 1000))
 	var err error
 	hits := 0
 	for err == nil && hits < 100 {
@@ -92,7 +148,7 @@ func TestHookSeesEveryHitAndImmediatePoll(t *testing.T) {
 
 func TestHookOnUncancellableContext(t *testing.T) {
 	h := &recordingHook{}
-	chk := FromContext(WithHook(context.Background(), h))
+	_, chk := Bind(WithHook(context.Background(), h))
 	if chk == nil {
 		t.Fatal("hook-carrying context must yield a checker even without Done")
 	}

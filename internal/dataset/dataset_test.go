@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -170,7 +171,10 @@ func TestFindQueries(t *testing.T) {
 			t.Fatalf("unexpected RSL size %d", size)
 		}
 		// The recorded RSL must be the actual reverse skyline.
-		actual := db.ReverseSkyline(items, qc.Q)
+		actual, err := db.ReverseSkylineCtx(context.Background(), items, qc.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(actual) != size {
 			t.Fatalf("stale RSL: recorded %d, actual %d", size, len(actual))
 		}

@@ -66,16 +66,17 @@ func replayAnswer(t *testing.T, f *fixture, ans Answer) {
 	if ans.Result.AlreadyMember {
 		t.Fatal("fixture customer unexpectedly already a member")
 	}
+	ctx := context.Background()
 	switch ans.Result.Case {
 	case whynot.CaseOverlap:
-		if !f.e.ValidateQueryMove(f.ct, ans.Result.QStar, eps) {
+		if ok, err := f.e.ValidateQueryMoveCtx(ctx, f.ct, ans.Result.QStar, eps); err != nil || !ok {
 			t.Fatalf("C1 answer q*=%v does not admit the customer", ans.Result.QStar)
 		}
-		if lost := f.e.LostCustomers(ans.Result.QStar, f.rsl); len(lost) != 0 {
-			t.Fatalf("C1 answer loses %d customers", len(lost))
+		if lost, err := f.e.LostCustomersCtx(ctx, ans.Result.QStar, f.rsl); err != nil || len(lost) != 0 {
+			t.Fatalf("C1 answer loses %d customers (err %v)", len(lost), err)
 		}
 	case whynot.CaseDisjoint:
-		if !f.e.ValidateWhyNotMove(f.ct, ans.Result.QStar, ans.Result.CtStar, eps) {
+		if ok, err := f.e.ValidateWhyNotMoveCtx(ctx, f.ct, ans.Result.QStar, ans.Result.CtStar, eps); err != nil || !ok {
 			t.Fatalf("C2 answer q*=%v ct*=%v is invalid", ans.Result.QStar, ans.Result.CtStar)
 		}
 	default:
@@ -106,7 +107,10 @@ func TestExactRungCleanRun(t *testing.T) {
 	if ans.Degraded || ans.Rung != RungExact {
 		t.Fatalf("clean run degraded: rung=%v degraded=%v", ans.Rung, ans.Degraded)
 	}
-	want := f.e.MWQExact(f.ct, f.q, f.rsl, whynot.Options{})
+	want, err := f.e.MWQExactCtx(context.Background(), f.ct, f.q, f.rsl, whynot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ans.Result.Cost != want.Cost {
 		t.Fatalf("runner cost %v != direct cost %v", ans.Result.Cost, want.Cost)
 	}

@@ -14,7 +14,7 @@ func TestForEachRunsEveryJob(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 0} {
 		n := 100
 		out := make([]int, n)
-		err := ForEach(context.Background(), n, workers, "test.site", func(_ *cancel.Checker, i int) error {
+		err := ForEach(context.Background(), n, workers, "test.site", func(_ context.Context, i int) error {
 			out[i] = i + 1
 			return nil
 		})
@@ -31,7 +31,7 @@ func TestForEachRunsEveryJob(t *testing.T) {
 
 func TestForEachZeroJobs(t *testing.T) {
 	called := false
-	if err := ForEach(context.Background(), 0, 4, "s", func(_ *cancel.Checker, _ int) error {
+	if err := ForEach(context.Background(), 0, 4, "s", func(context.Context, int) error {
 		called = true
 		return nil
 	}); err != nil || called {
@@ -43,7 +43,7 @@ func TestForEachFirstErrorWinsAndStops(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(context.Background(), 1000, workers, "s", func(_ *cancel.Checker, i int) error {
+		err := ForEach(context.Background(), 1000, workers, "s", func(_ context.Context, i int) error {
 			ran.Add(1)
 			if i == 3 {
 				return boom
@@ -71,7 +71,7 @@ func TestForEachPanicReRaisedOnCaller(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want kaboom", workers, r)
 				}
 			}()
-			_ = ForEach(context.Background(), 50, workers, "s", func(_ *cancel.Checker, i int) error {
+			_ = ForEach(context.Background(), 50, workers, "s", func(_ context.Context, i int) error {
 				if i == 7 {
 					panic("kaboom")
 				}
@@ -87,7 +87,7 @@ func TestForEachObservesContextCancellation(t *testing.T) {
 	cancelCtx()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(ctx, 100, workers, "s", func(_ *cancel.Checker, _ int) error {
+		err := ForEach(ctx, 100, workers, "s", func(context.Context, int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -109,7 +109,7 @@ func (h *countingHook) Visit(string, uint64) { h.n.Add(1) }
 func TestForEachFiresCheckpointPerJob(t *testing.T) {
 	h := &countingHook{}
 	ctx := cancel.WithHook(context.Background(), h)
-	if err := ForEach(ctx, 64, 4, "s", func(*cancel.Checker, int) error { return nil }); err != nil {
+	if err := ForEach(ctx, 64, 4, "s", func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.n.Load(); got < 64 {
@@ -117,29 +117,46 @@ func TestForEachFiresCheckpointPerJob(t *testing.T) {
 	}
 }
 
+// TestForEachCheckedForwardsContext: the jobs' checkpoints follow the
+// context ForEach is given, through a checker of each running goroutine.
 func TestForEachCheckedForwardsContext(t *testing.T) {
+	// A cancelled context reaches the workers through their own checkers.
 	ctx, cancelCtx := context.WithCancel(cancel.WithStride(context.Background(), 1))
 	cancelCtx()
-	chk := cancel.FromContext(ctx)
-	err := ForEachChecked(chk, 10, 4, "s", func(*cancel.Checker, int) error { return nil })
+	err := ForEach(ctx, 10, 4, "s", func(context.Context, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled through the forked checkers", err)
 	}
-	// A nil checker forwards a nil context: runs everything, returns nil.
-	if err := ForEachChecked(nil, 10, 4, "s", func(*cancel.Checker, int) error { return nil }); err != nil {
-		t.Fatalf("nil checker: %v", err)
+	// A context that can never be cancelled runs everything and returns nil.
+	var ran atomic.Int64
+	err = ForEach(context.Background(), 10, 4, "s", func(context.Context, int) error {
+		ran.Add(1)
+		return nil
+	})
+	if err != nil || ran.Load() != 10 {
+		t.Fatalf("background context: err=%v ran=%d, want nil and 10", err, ran.Load())
 	}
 	// One worker is the caller's own loop: every job runs on, and every
-	// checkpoint counts against, the checker passed in.
-	live := cancel.FromContext(cancel.WithHook(context.Background(), &countingHook{}))
-	err = ForEachChecked(live, 10, 1, "s", func(got *cancel.Checker, _ int) error {
-		if got != live {
+	// checkpoint counts against, the checker the caller bound.
+	live, chk := cancel.Bind(cancel.WithHook(context.Background(), &countingHook{}))
+	err = ForEach(live, 10, 1, "s", func(ctx context.Context, _ int) error {
+		if _, got := cancel.Bind(ctx); got != chk {
 			t.Error("inline job got a different checker")
 		}
 		return nil
 	})
-	if err != nil || live.Visits() != 10 {
-		t.Fatalf("inline run: err=%v visits=%d, want nil and 10", err, live.Visits())
+	if err != nil || chk.Visits() != 10 {
+		t.Fatalf("inline run: err=%v visits=%d, want nil and 10", err, chk.Visits())
+	}
+	// Several workers never run a job on the caller's checker.
+	err = ForEach(live, 10, 4, "s", func(ctx context.Context, _ int) error {
+		if _, got := cancel.Bind(ctx); got == nil || got == chk {
+			t.Error("worker job ran without a checker of its own")
+		}
+		return nil
+	})
+	if err != nil || chk.Visits() != 10 {
+		t.Fatalf("fan-out: err=%v caller visits=%d, want nil and still 10", err, chk.Visits())
 	}
 }
 

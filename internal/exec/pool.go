@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sync"
-
-	"repro/internal/cancel"
-)
+import "sync"
 
 // pool collects the shared failure state of one ForEach fan-out.
 type pool struct {
@@ -30,7 +26,7 @@ func (p *pool) fail(err error) {
 }
 
 // run executes one job under panic capture.
-func (p *pool) run(chk *cancel.Checker, i int, site string, fn func(chk *cancel.Checker, i int) error) {
+func (p *pool) run(i int, job func(i int) error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.mu.Lock()
@@ -41,11 +37,7 @@ func (p *pool) run(chk *cancel.Checker, i int, site string, fn func(chk *cancel.
 			p.mu.Unlock()
 		}
 	}()
-	if err := chk.Point(site); err != nil {
-		p.fail(err)
-		return
-	}
-	if err := fn(chk, i); err != nil {
+	if err := job(i); err != nil {
 		p.fail(err)
 	}
 }

@@ -1,28 +1,20 @@
 package geom
 
-import "fmt"
-
-// Normalizer rescales points into the unit hypercube with min–max
-// normalisation, the preprocessing step the paper applies before computing
-// solution costs ("we compute the cost of a solution by first normalizing the
-// point using min-max normalization", §VI.A).
+// Normalizer measures movement costs after min–max normalisation, the
+// preprocessing step the paper applies before computing solution costs ("we
+// compute the cost of a solution by first normalizing the point using
+// min-max normalization", §VI.A). Only the spans matter: a difference of two
+// points does not depend on the shift.
 type Normalizer struct {
-	lo, span Point // span_i = max_i − min_i, 1 when degenerate
-}
-
-// NewNormalizer derives normalisation bounds from the given points. It panics
-// if pts is empty. Dimensions in which every point agrees get span 1 so that
-// normalisation is the identity shift there.
-func NewNormalizer(pts []Point) *Normalizer {
-	mbr := MBR(pts)
-	return NewNormalizerFromRect(mbr)
+	span Point // span_i = max_i − min_i, 1 when degenerate
 }
 
 // NewNormalizerFromRect derives normalisation bounds from an explicit
-// bounding rectangle.
+// bounding rectangle. Dimensions in which the rectangle is flat get span 1,
+// so costs there are raw distances.
 func NewNormalizerFromRect(bounds Rect) *Normalizer {
 	d := bounds.Dims()
-	n := &Normalizer{lo: bounds.Lo.Clone(), span: make(Point, d)}
+	n := &Normalizer{span: make(Point, d)}
 	for i := 0; i < d; i++ {
 		s := bounds.Hi[i] - bounds.Lo[i]
 		if s <= 0 {
@@ -31,38 +23,6 @@ func NewNormalizerFromRect(bounds Rect) *Normalizer {
 		n.span[i] = s
 	}
 	return n
-}
-
-// Dims returns the dimensionality the normaliser was built for.
-func (n *Normalizer) Dims() int { return len(n.lo) }
-
-// Bounds returns the rectangle the normaliser maps onto the unit cube.
-func (n *Normalizer) Bounds() Rect {
-	hi := n.lo.Add(n.span)
-	return Rect{Lo: n.lo.Clone(), Hi: hi}
-}
-
-// Normalize maps p into [0,1]^d (values outside the fitted bounds map outside
-// the unit cube, deliberately: why-not answers may move points beyond the
-// observed data range).
-func (n *Normalizer) Normalize(p Point) Point {
-	if len(p) != len(n.lo) {
-		panic(fmt.Sprintf("geom: normalise %d-dim point with %d-dim normaliser", len(p), len(n.lo)))
-	}
-	out := make(Point, len(p))
-	for i := range p {
-		out[i] = (p[i] - n.lo[i]) / n.span[i]
-	}
-	return out
-}
-
-// Denormalize is the inverse of Normalize.
-func (n *Normalizer) Denormalize(p Point) Point {
-	out := make(Point, len(p))
-	for i := range p {
-		out[i] = p[i]*n.span[i] + n.lo[i]
-	}
-	return out
 }
 
 // NormalizedL1 returns the weighted L1 distance between a and b after min–max

@@ -6,29 +6,12 @@ import (
 	"testing"
 )
 
-func TestNormalizerRoundTrip(t *testing.T) {
-	pts := []Point{NewPoint(0, 100), NewPoint(10, 200), NewPoint(5, 150)}
-	n := NewNormalizer(pts)
-	for _, p := range pts {
-		q := n.Normalize(p)
-		for i := range q {
-			if q[i] < 0 || q[i] > 1 {
-				t.Errorf("Normalize(%v) = %v escapes unit cube", p, q)
-			}
-		}
-		back := n.Denormalize(q)
-		if !back.ApproxEqual(p, 1e-9) {
-			t.Errorf("round trip %v -> %v", p, back)
-		}
-	}
-}
-
 func TestNormalizerDegenerateDim(t *testing.T) {
-	pts := []Point{NewPoint(3, 1), NewPoint(3, 2)}
-	n := NewNormalizer(pts)
-	q := n.Normalize(NewPoint(3, 1.5))
-	if q[0] != 0 {
-		t.Errorf("degenerate dim should normalise to 0, got %v", q[0])
+	// Every point of the fitted box agrees in dimension 0, so that dimension
+	// gets span 1 and a unit move there costs 1.
+	n := NewNormalizerFromRect(rect(3, 1, 3, 2))
+	if got := n.NormalizedL1(NewPoint(3, 1.5), NewPoint(4, 1.5), []float64{1, 0}); got != 1 {
+		t.Errorf("degenerate dim should have span 1, got cost %v", got)
 	}
 }
 
@@ -47,25 +30,13 @@ func TestNormalizedL1EqualWeights(t *testing.T) {
 }
 
 func TestNormalizerBounds(t *testing.T) {
+	// The fitted box maps onto the unit cube: its diagonal costs one unit
+	// per dimension.
 	b := rect(1, 2, 5, 8)
 	n := NewNormalizerFromRect(b)
-	got := n.Bounds()
-	if !got.Lo.Equal(b.Lo) || !got.Hi.Equal(b.Hi) {
-		t.Fatalf("Bounds = %v, want %v", got, b)
+	if got := n.NormalizedL1(b.Lo, b.Hi, []float64{1, 1}); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("diagonal of the fitted box costs %v, want 2", got)
 	}
-	if n.Dims() != 2 {
-		t.Fatalf("Dims = %d", n.Dims())
-	}
-}
-
-func TestNormalizerDimMismatchPanics(t *testing.T) {
-	n := NewNormalizerFromRect(rect(0, 0, 1, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dim mismatch")
-		}
-	}()
-	n.Normalize(NewPoint(1, 2, 3))
 }
 
 // Property: normalised L1 cost is translation/scale invariant.

@@ -151,18 +151,6 @@ func TestQuickNearestPoint(t *testing.T) {
 	}
 }
 
-// Normalisation round-trips.
-func TestQuickNormalizerRoundTrip(t *testing.T) {
-	n := NewNormalizerFromRect(NewRect(NewPoint(-100, -100), NewPoint(100, 100)))
-	f := func(p qp) bool {
-		pp := p.point()
-		return n.Denormalize(n.Normalize(pp)).ApproxEqual(pp, 1e-9)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // UnTransform picks the pre-image on toward's side, which is never farther
 // from toward than any other pre-image.
 func TestQuickUnTransformOptimality(t *testing.T) {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -109,7 +110,10 @@ func TestGridWindowExistsMatchesRTree(t *testing.T) {
 		c := items[rng.Intn(len(items))]
 		q := items[rng.Intn(len(items))].Point.Clone()
 		q[0] *= 1 + 0.1*(rng.Float64()-0.5)
-		want := db.WindowExists(c.Point, q, c.ID)
+		want, err := db.WindowExistsCtx(context.Background(), c.Point, q, c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := g.WindowExists(c.Point, q, c.ID)
 		if got != want {
 			t.Fatalf("trial %d: grid=%v rtree=%v (c=%v q=%v)", trial, got, want, c.Point, q)

@@ -314,6 +314,18 @@ func With(ctx context.Context, b *Builder) context.Context {
 	return context.WithValue(ctx, ctxKey{}, b)
 }
 
+// Hide returns ctx with its builder, if any, hidden from the layers below.
+// Work whose repetition count depends on the data (MWQ's per-corner MWP
+// runs, batch questions) runs under it, so the plan shape — and the query
+// fingerprint — follow the pipeline, not the data. With no builder in ctx it
+// returns ctx unchanged.
+func Hide(ctx context.Context) context.Context {
+	if From(ctx) == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, (*Builder)(nil))
+}
+
 // From extracts the builder carried by ctx, or nil (explain disabled). The
 // nil path allocates nothing — the disabled-overhead budget test pins that.
 func From(ctx context.Context) *Builder {

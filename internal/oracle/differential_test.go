@@ -55,6 +55,17 @@ func newFixture(kind datagen.Kind, d, nProducts, nCustomers int, seed int64) fix
 	}
 }
 
+// bg is the context of every call that is not about cancellation.
+var bg = context.Background()
+
+// must unwraps the result of a ctx-form call under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // parallelCounts are the worker counts the fanned-out paths are compared at
 // against the sequential fixture DB.
 func parallelCounts() []int { return []int{2, 4, runtime.GOMAXPROCS(0)} }
@@ -148,7 +159,7 @@ func TestDynamicSkylineCachedAgreesWithOracle(t *testing.T) {
 		// Two passes: the second is served from the cache and must agree too.
 		for pass := 0; pass < 2; pass++ {
 			for _, c := range f.customers[:10] {
-				got, err := f.db.DynamicSkylineOfChecked(nil, c, oracle.NoExclude)
+				got, err := f.db.DynamicSkylineOfCtx(bg, c, oracle.NoExclude)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,11 +183,11 @@ func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.customers, q)
 
-			sameIDs(t, "RSL direct", f.db.ReverseSkyline(f.customers, q), want)
+			sameIDs(t, "RSL direct", must(f.db.ReverseSkylineCtx(bg, f.customers, q)), want)
 			sameIDs(t, "RSL filtered", f.db.ReverseSkylineFiltered(f.customers, q), want)
 
 			for _, db := range pdbs {
-				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", db.Workers()), db.ReverseSkyline(f.customers, q), want)
+				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", db.Workers()), must(db.ReverseSkylineCtx(bg, f.customers, q)), want)
 				sameIDs(t, fmt.Sprintf("RSL filtered parallel w=%d", db.Workers()), db.ReverseSkylineFiltered(f.customers, q), want)
 			}
 		}
@@ -195,9 +206,9 @@ func TestBBRSAgreesWithOracle(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.products, q)
-			sameIDs(t, "BBRS", f.db.ReverseSkylineBBRS(q), want)
+			sameIDs(t, "BBRS", must(f.db.ReverseSkylineBBRSCtx(bg, q)), want)
 			for _, db := range pdbs {
-				sameIDs(t, fmt.Sprintf("BBRS parallel w=%d", db.Workers()), db.ReverseSkylineBBRS(q), want)
+				sameIDs(t, fmt.Sprintf("BBRS parallel w=%d", db.Workers()), must(db.ReverseSkylineBBRSCtx(bg, q)), want)
 			}
 		}
 	})
@@ -240,7 +251,7 @@ func TestReverseSkylineGridTiesAgreeWithOracle(t *testing.T) {
 			label := fmt.Sprintf("d=%d seed=%d q=%v", d, seed, q)
 			mono := oracle.ReverseSkyline(products, products, q)
 			sameIDs(t, label+": mono filtered", db.ReverseSkylineFiltered(products, q), mono)
-			sameIDs(t, label+": BBRS", db.ReverseSkylineBBRS(q), mono)
+			sameIDs(t, label+": BBRS", must(db.ReverseSkylineBBRSCtx(bg, q)), mono)
 			sameIDs(t, label+": bichromatic filtered", db.ReverseSkylineFiltered(customers, q),
 				oracle.ReverseSkyline(products, customers, q))
 		}

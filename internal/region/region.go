@@ -122,18 +122,6 @@ func (s Set) IntersectRect(r geom.Rect) Set {
 	return s.IntersectSet(Set{r})
 }
 
-// Overlaps reports whether the two unions share at least one point.
-func (s Set) Overlaps(o Set) bool {
-	for _, a := range s {
-		for _, b := range o {
-			if a.Intersects(b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NearestPoint returns the point of the union nearest to p under weighted L1
 // distance (nil weights mean equal), together with that distance. ok is false
 // on an empty set. This implements the nearest_point step of Algorithm 4.

@@ -64,7 +64,7 @@ func TestConcurrentMutationNeverServesStaleDSL(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				c := base[rng.Intn(len(base))]
 				g1 := db.Generation()
-				got, err := db.DynamicSkylineOfChecked(nil, c, NoExclude)
+				got, err := db.DynamicSkylineOfCtx(bg, c, NoExclude)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -89,7 +89,7 @@ func TestConcurrentMutationNeverServesStaleDSL(t *testing.T) {
 	// Quiescent post-condition: every cached entry left behind must match a
 	// fresh computation exactly.
 	for _, c := range base[:30] {
-		got, _ := db.DynamicSkylineOfChecked(nil, c, NoExclude)
+		got, _ := db.DynamicSkylineOfCtx(bg, c, NoExclude)
 		want := db.DynamicSkylineExcluding(c.Point, NoExclude)
 		if !sameIDSet(got, want) {
 			t.Fatalf("post-quiescence: cached DSL(%v) = %v, uncached = %v", c.Point, ids(got), ids(want))
@@ -139,13 +139,13 @@ func raceQueriesAgainstMutation(t *testing.T, workers int) {
 
 	for i := 0; i < 20; i++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if _, err := db.ReverseSkylineChecked(nil, base, q); err != nil {
+		if _, err := db.ReverseSkylineCtx(bg, base, q); err != nil {
 			t.Fatalf("workers=%d: parallel RSL: %v", workers, err)
 		}
-		if _, err := db.ReverseSkylineFilteredChecked(nil, base, q); err != nil {
+		if _, err := db.ReverseSkylineFilteredCtx(bg, base, q); err != nil {
 			t.Fatalf("workers=%d: parallel filtered RSL: %v", workers, err)
 		}
-		if _, err := db.ReverseSkylineBBRSChecked(nil, q); err != nil {
+		if _, err := db.ReverseSkylineBBRSCtx(bg, q); err != nil {
 			t.Fatalf("workers=%d: parallel BBRS: %v", workers, err)
 		}
 	}

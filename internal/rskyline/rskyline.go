@@ -10,9 +10,14 @@
 // window query runs: a branch-and-bound traversal of the R*-tree finds the
 // global skyline of P (package skyline), and a customer any of its members
 // globally dominates is dropped.
+//
+// Every query is a ctx-first method (XCtx) that takes its cancellation
+// checker from the context once per call (cancel.Bind) and hands it to the
+// index traversals.
 package rskyline
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +32,7 @@ import (
 // Item aliases the R-tree item type.
 type Item = rtree.Item
 
-// NoExclude is the sentinel for WindowQuery's excludeID meaning "exclude
+// NoExclude is the sentinel for WindowQueryCtx's excludeID meaning "exclude
 // nothing". Dataset IDs are non-negative.
 const NoExclude = -1
 
@@ -161,19 +166,14 @@ func (db *DB) mutated() {
 	db.dsl.Purge()
 }
 
-// WindowQuery returns Λ = window_query(c, q): every product inside the
+// WindowQueryCtx returns Λ = window_query(c, q): every product inside the
 // closed box centred at c with per-dimension half-extent |c_i − q_i| that
 // dynamically dominates q with respect to c. Products with ID == excludeID
 // are skipped (pass NoExclude to keep all), which implements the
 // monochromatic convention that a customer's own product record cannot
-// block it.
-func (db *DB) WindowQuery(c, q geom.Point, excludeID int) []Item {
-	out, _ := db.WindowQueryChecked(nil, c, q, excludeID)
-	return out
-}
-
-// WindowQueryChecked is WindowQuery with cooperative cancellation.
-func (db *DB) WindowQueryChecked(chk *cancel.Checker, c, q geom.Point, excludeID int) ([]Item, error) {
+// block it. The traversal polls ctx's checker at every node visit.
+func (db *DB) WindowQueryCtx(ctx context.Context, c, q geom.Point, excludeID int) ([]Item, error) {
+	_, chk := cancel.Bind(ctx)
 	obs.AddWindowQueries(1)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
@@ -195,15 +195,10 @@ func (db *DB) WindowQueryChecked(chk *cancel.Checker, c, q geom.Point, excludeID
 	return out, nil
 }
 
-// WindowExists reports whether window_query(c, q) is non-empty, stopping at
-// the first dominating product.
-func (db *DB) WindowExists(c, q geom.Point, excludeID int) bool {
-	found, _ := db.WindowExistsChecked(nil, c, q, excludeID)
-	return found
-}
-
-// WindowExistsChecked is WindowExists with cooperative cancellation.
-func (db *DB) WindowExistsChecked(chk *cancel.Checker, c, q geom.Point, excludeID int) (bool, error) {
+// WindowExistsCtx reports whether window_query(c, q) is non-empty, stopping
+// at the first dominating product.
+func (db *DB) WindowExistsCtx(ctx context.Context, c, q geom.Point, excludeID int) (bool, error) {
+	_, chk := cancel.Bind(ctx)
 	obs.AddWindowQueries(1)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
@@ -219,22 +214,16 @@ func (db *DB) WindowExistsChecked(chk *cancel.Checker, c, q geom.Point, excludeI
 	return found, err
 }
 
-// WindowFrontier returns the members of window_query(c, q) minimal under
+// WindowFrontierCtx returns the members of window_query(c, q) minimal under
 // dynamic dominance with respect to centre, without materialising Λ: a
 // branch-and-bound traversal ordered by transformed distance to centre prunes
 // every subtree already dominated by a found frontier member. centre is q for
 // Algorithm 1's frontier and c for Algorithm 2's. The result equals
-// filtering WindowQuery(c, q, excludeID) down to its dominance minima, but
-// touches only a fraction of the window when Λ is large.
-func (db *DB) WindowFrontier(c, q, centre geom.Point, excludeID int) []Item {
-	out, _ := db.WindowFrontierChecked(nil, c, q, centre, excludeID)
-	return out
-}
-
-// WindowFrontierChecked is WindowFrontier with cooperative cancellation at
-// node-visit granularity; a cancelled traversal returns the context's error
-// and no partial frontier.
-func (db *DB) WindowFrontierChecked(chk *cancel.Checker, c, q, centre geom.Point, excludeID int) ([]Item, error) {
+// filtering WindowQueryCtx(ctx, c, q, excludeID) down to its dominance
+// minima, but touches only a fraction of the window when Λ is large. A
+// cancelled traversal returns the context's error and no partial frontier.
+func (db *DB) WindowFrontierCtx(ctx context.Context, c, q, centre geom.Point, excludeID int) ([]Item, error) {
+	_, chk := cancel.Bind(ctx)
 	obs.AddWindowQueries(1)
 	dt := 0 // point-point tests only; the prune's box tests are not counted
 	pr := 0 // frontier candidates eliminated by transformed dominance
@@ -316,64 +305,62 @@ func (db *DB) WindowFrontierChecked(chk *cancel.Checker, c, q, centre geom.Point
 	return out, nil
 }
 
-// IsReverseSkyline reports whether customer c belongs to RSL(q): the window
-// query centred at c.Point must find no dominating product other than c's
-// own record.
+// IsReverseSkyline is IsReverseSkylineCtx without a deadline.
 func (db *DB) IsReverseSkyline(c Item, q geom.Point) bool {
-	return !db.WindowExists(c.Point, q, c.ID)
+	member, _ := db.IsReverseSkylineCtx(context.Background(), c, q)
+	return member
 }
 
-// IsReverseSkylineChecked is IsReverseSkyline with cooperative cancellation.
-func (db *DB) IsReverseSkylineChecked(chk *cancel.Checker, c Item, q geom.Point) (bool, error) {
-	found, err := db.WindowExistsChecked(chk, c.Point, q, c.ID)
+// IsReverseSkylineCtx reports whether customer c belongs to RSL(q): the
+// window query centred at c.Point must find no dominating product other than
+// c's own record.
+func (db *DB) IsReverseSkylineCtx(ctx context.Context, c Item, q geom.Point) (bool, error) {
+	found, err := db.WindowExistsCtx(ctx, c.Point, q, c.ID)
 	return !found, err
 }
 
-// ReverseSkyline computes RSL(q) over the given customers by running the
-// window-existence test for each customer. This is the direct §II method.
-func (db *DB) ReverseSkyline(customers []Item, q geom.Point) []Item {
-	out, _ := db.ReverseSkylineChecked(nil, customers, q)
-	return out
+// ReverseSkylineCtx computes RSL(q) over the given customers by running the
+// window-existence test for each customer, with a cancellation checkpoint per
+// customer. This is the direct §II method.
+func (db *DB) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
+	return db.verify(ctx, customers, q)
 }
 
-// ReverseSkylineChecked is ReverseSkyline with a cancellation checkpoint per
-// customer (each customer costs one window-existence query).
-func (db *DB) ReverseSkylineChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	return db.verify(chk, customers, q)
-}
-
-// ReverseSkylineFiltered computes RSL(q) with the global-skyline candidate
-// filter: a customer globally dominated (w.r.t. q) by any product cannot be
-// in RSL(q), and it suffices to test against the global skyline of P, which
-// a branch-and-bound traversal of the index finds. The surviving candidates
-// are verified with window-existence queries. The result is identical to
-// ReverseSkyline, members in customer order; only the work differs. Passing
-// the products as the customers gives the monochromatic setting.
+// ReverseSkylineFiltered is ReverseSkylineFilteredCtx without a deadline.
 func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
-	out, _ := db.ReverseSkylineFilteredChecked(nil, customers, q)
+	out, _ := db.ReverseSkylineFilteredCtx(context.Background(), customers, q)
 	return out
 }
 
-// ReverseSkylineFilteredChecked is ReverseSkylineFiltered with cooperative
-// cancellation in the candidate traversal and a checkpoint per customer.
-func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	cands, err := db.globalFilter(chk, customers, q)
+// ReverseSkylineFilteredCtx computes RSL(q) with the global-skyline
+// candidate filter: a customer globally dominated (w.r.t. q) by any product
+// cannot be in RSL(q), and it suffices to test against the global skyline of
+// P, which a branch-and-bound traversal of the index finds. The surviving
+// candidates are verified with window-existence queries. The result is
+// identical to ReverseSkylineCtx, members in customer order; only the work
+// differs. Passing the products as the customers gives the monochromatic
+// setting. Cancellation is polled in the candidate traversal and once per
+// customer.
+func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
+	ctx, _ = cancel.Bind(ctx)
+	cands, err := db.globalFilter(ctx, customers, q)
 	if err != nil {
 		return nil, err
 	}
-	return db.verify(chk, cands, q)
+	return db.verify(ctx, cands, q)
 }
 
-// globalFilter is the sequential filter pass of ReverseSkylineFiltered: it
-// keeps, in input order, the customers no global-skyline product other than
-// their own record dominates with respect to q. Past the traversal the pass
-// is about one dominance test per customer, far cheaper than handing each
-// customer to a worker, so only its survivors fan out.
-func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	gs, err := db.globalSkylineBBS(chk, q)
+// globalFilter is the sequential filter pass of ReverseSkylineFilteredCtx:
+// it keeps, in input order, the customers no global-skyline product other
+// than their own record dominates with respect to q. Past the traversal the
+// pass is about one dominance test per customer, far cheaper than handing
+// each customer to a worker, so only its survivors fan out.
+func (db *DB) globalFilter(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
+	gs, err := db.globalSkylineBBS(ctx, q)
 	if err != nil {
 		return nil, err
 	}
+	_, chk := cancel.Bind(ctx)
 	var cands []Item
 	dt := 0
 	gdPruned := 0 // customers eliminated by the global-dominance filter
@@ -396,27 +383,21 @@ func (db *DB) globalFilter(chk *cancel.Checker, customers []Item, q geom.Point) 
 	return cands, nil
 }
 
-// ReverseSkylineBBRS computes RSL(q) in the monochromatic setting with the
-// full index-based BBRS pipeline (Dellis & Seeger, VLDB 2007): the global
+// ReverseSkylineBBRSCtx computes RSL(q) in the monochromatic setting with
+// the full index-based BBRS pipeline (Dellis & Seeger, VLDB 2007): the global
 // skyline candidates come from a branch-and-bound traversal of the R*-tree
 // (touching only the index fraction that can contain candidates) and each
 // candidate is verified with an existence window query. The members are
-// those of ReverseSkylineFiltered over the products, in the traversal's
-// discovery order rather than product order.
-func (db *DB) ReverseSkylineBBRS(q geom.Point) []Item {
-	out, _ := db.ReverseSkylineBBRSChecked(nil, q)
-	return out
-}
-
-// ReverseSkylineBBRSChecked is ReverseSkylineBBRS with cooperative
-// cancellation in both the candidate traversal and the per-candidate
-// verification.
-func (db *DB) ReverseSkylineBBRSChecked(chk *cancel.Checker, q geom.Point) ([]Item, error) {
-	gs, err := db.globalSkylineBBS(chk, q)
+// those of ReverseSkylineFilteredCtx over the products, in the traversal's
+// discovery order rather than product order. Cancellation is polled in both
+// the candidate traversal and the per-candidate verification.
+func (db *DB) ReverseSkylineBBRSCtx(ctx context.Context, q geom.Point) ([]Item, error) {
+	ctx, _ = cancel.Bind(ctx)
+	gs, err := db.globalSkylineBBS(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return db.verify(chk, gs.Members, q)
+	return db.verify(ctx, gs.Members, q)
 }
 
 // verify is the refinement step every reverse-skyline variant ends in: one
@@ -424,10 +405,10 @@ func (db *DB) ReverseSkylineBBRSChecked(chk *cancel.Checker, q geom.Point) ([]It
 // a SiteCustomer checkpoint per candidate. Membership flags land in
 // per-index slots, so the members come back in candidate order at every
 // worker count.
-func (db *DB) verify(chk *cancel.Checker, cands []Item, q geom.Point) ([]Item, error) {
+func (db *DB) verify(ctx context.Context, cands []Item, q geom.Point) ([]Item, error) {
 	in := make([]bool, len(cands))
-	err := exec.ForEachChecked(chk, len(cands), db.workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		member, err := db.IsReverseSkylineChecked(chk, cands[i], q)
+	err := exec.ForEach(ctx, len(cands), db.workers, cancel.SiteCustomer, func(ctx context.Context, i int) error {
+		member, err := db.IsReverseSkylineCtx(ctx, cands[i], q)
 		in[i] = member
 		return err
 	})
@@ -444,55 +425,51 @@ func (db *DB) verify(chk *cancel.Checker, cands []Item, q geom.Point) ([]Item, e
 }
 
 // globalSkylineBBS runs the candidate traversal under the tree read lock.
-func (db *DB) globalSkylineBBS(chk *cancel.Checker, q geom.Point) (*skyline.GlobalSkyline, error) {
+func (db *DB) globalSkylineBBS(ctx context.Context, q geom.Point) (*skyline.GlobalSkyline, error) {
+	_, chk := cancel.Bind(ctx)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	return skyline.GlobalSkylineBBSChecked(chk, db.tree, q)
 }
 
-// DynamicSkyline computes DSL(c) over the products via branch-and-bound on
-// the R*-tree.
-func (db *DB) DynamicSkyline(c geom.Point) []Item {
-	out, _ := db.DynamicSkylineChecked(nil, c)
-	return out
-}
-
-// DynamicSkylineChecked is DynamicSkyline with cooperative cancellation.
-func (db *DB) DynamicSkylineChecked(chk *cancel.Checker, c geom.Point) ([]Item, error) {
+// DynamicSkylineCtx computes DSL(c) over the products via branch-and-bound
+// on the R*-tree.
+func (db *DB) DynamicSkylineCtx(ctx context.Context, c geom.Point) ([]Item, error) {
+	_, chk := cancel.Bind(ctx)
 	obs.AddDSLComputations(1)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	return skyline.DynamicBBSChecked(chk, db.tree, c)
 }
 
-// DynamicSkylineExcluding computes DSL(c) over the products without the
-// record whose ID is excludeID (monochromatic convention). Pass NoExclude to
-// keep everything.
+// DynamicSkylineExcluding is DynamicSkylineExcludingCtx without a deadline.
 func (db *DB) DynamicSkylineExcluding(c geom.Point, excludeID int) []Item {
-	out, _ := db.DynamicSkylineExcludingChecked(nil, c, excludeID)
+	out, _ := db.DynamicSkylineExcludingCtx(context.Background(), c, excludeID)
 	return out
 }
 
-// DynamicSkylineExcludingChecked is DynamicSkylineExcluding with cooperative
-// cancellation.
-func (db *DB) DynamicSkylineExcludingChecked(chk *cancel.Checker, c geom.Point, excludeID int) ([]Item, error) {
+// DynamicSkylineExcludingCtx computes DSL(c) over the products without the
+// record whose ID is excludeID (monochromatic convention). Pass NoExclude to
+// keep everything.
+func (db *DB) DynamicSkylineExcludingCtx(ctx context.Context, c geom.Point, excludeID int) ([]Item, error) {
 	if excludeID == NoExclude {
-		return db.DynamicSkylineChecked(chk, c)
+		return db.DynamicSkylineCtx(ctx, c)
 	}
+	_, chk := cancel.Bind(ctx)
 	obs.AddDSLComputations(1)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	return skyline.DynamicBBSExcludingChecked(chk, db.tree, c, excludeID)
 }
 
-// DynamicSkylineOfChecked computes DSL(c.Point) excluding excludeID through
-// the DSL cache when one is enabled: a hit must match the customer's point,
-// the exclusion convention, and the current mutation generation; anything
-// else recomputes and refreshes the entry. Callers must not modify the
-// returned slice — it may be shared with other queries.
-func (db *DB) DynamicSkylineOfChecked(chk *cancel.Checker, c Item, excludeID int) ([]Item, error) {
+// DynamicSkylineOfCtx computes DSL(c.Point) excluding excludeID through the
+// DSL cache when one is enabled: a hit must match the customer's point, the
+// exclusion convention, and the current mutation generation; anything else
+// recomputes and refreshes the entry. Callers must not modify the returned
+// slice — it may be shared with other queries.
+func (db *DB) DynamicSkylineOfCtx(ctx context.Context, c Item, excludeID int) ([]Item, error) {
 	if db.dsl == nil {
-		return db.DynamicSkylineExcludingChecked(chk, c.Point, excludeID)
+		return db.DynamicSkylineExcludingCtx(ctx, c.Point, excludeID)
 	}
 	gen := db.gen.Load()
 	if e, ok := db.dsl.Get(c.ID); ok {
@@ -503,7 +480,7 @@ func (db *DB) DynamicSkylineOfChecked(chk *cancel.Checker, c Item, excludeID int
 		db.dsl.MarkStale()
 		obs.AddCacheStale(1)
 	}
-	out, err := db.DynamicSkylineExcludingChecked(chk, c.Point, excludeID)
+	out, err := db.DynamicSkylineExcludingCtx(ctx, c.Point, excludeID)
 	if err != nil {
 		return nil, err
 	}

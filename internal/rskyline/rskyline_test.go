@@ -30,6 +30,17 @@ var paperQ = geom.NewPoint(8.5, 55)
 
 func fig1DB() *DB { return NewDB(2, fig1(), rtree.Config{}) }
 
+// bg is the context of every test call that is not about cancellation.
+var bg = context.Background()
+
+// must unwraps the result of a ctx-form call under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func ids(items []Item) []int {
 	out := make([]int, len(items))
 	for i, it := range items {
@@ -55,11 +66,11 @@ func equalInts(a, b []int) bool {
 func TestWindowQueryC1(t *testing.T) {
 	db := fig1DB()
 	c1 := geom.NewPoint(5, 30)
-	got := db.WindowQuery(c1, paperQ, 1)
+	got := must(db.WindowQueryCtx(bg, c1, paperQ, 1))
 	if !equalInts(ids(got), []int{2}) {
 		t.Fatalf("window_query(c1, q) = %v, want [2]", ids(got))
 	}
-	if !db.WindowExists(c1, paperQ, 1) {
+	if !must(db.WindowExistsCtx(bg, c1, paperQ, 1)) {
 		t.Fatal("WindowExists must agree")
 	}
 }
@@ -68,10 +79,10 @@ func TestWindowQueryC1(t *testing.T) {
 func TestWindowQueryC2(t *testing.T) {
 	db := fig1DB()
 	c2 := geom.NewPoint(7.5, 42)
-	if got := db.WindowQuery(c2, paperQ, 2); len(got) != 0 {
+	if got := must(db.WindowQueryCtx(bg, c2, paperQ, 2)); len(got) != 0 {
 		t.Fatalf("window_query(c2, q) = %v, want empty", ids(got))
 	}
-	if db.WindowExists(c2, paperQ, 2) {
+	if must(db.WindowExistsCtx(bg, c2, paperQ, 2)) {
 		t.Fatal("WindowExists must agree")
 	}
 	if !db.IsReverseSkyline(Item{ID: 2, Point: c2}, paperQ) {
@@ -84,7 +95,7 @@ func TestWindowQueryC2(t *testing.T) {
 func TestReverseSkylinePaperExample(t *testing.T) {
 	db := fig1DB()
 	customers := fig1()
-	got := db.ReverseSkyline(customers, paperQ)
+	got := must(db.ReverseSkylineCtx(bg, customers, paperQ))
 	want := []int{2, 3, 4, 6, 8}
 	if !equalInts(ids(got), want) {
 		t.Fatalf("RSL(q) = %v, want %v", ids(got), want)
@@ -139,7 +150,7 @@ func TestReverseSkylineMatchesBruteRandom(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got := ids(db.ReverseSkyline(products, q))
+			got := ids(must(db.ReverseSkylineCtx(bg, products, q)))
 			if !equalInts(got, want) {
 				t.Fatalf("dims=%d seed=%d: RSL mismatch got=%v want=%v", dims, seed, got, want)
 			}
@@ -167,7 +178,7 @@ func TestBichromaticReverseSkyline(t *testing.T) {
 		}
 	}
 	sort.Ints(want)
-	if got := ids(db.ReverseSkyline(customers, q)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineCtx(bg, customers, q))); !equalInts(got, want) {
 		t.Fatalf("bichromatic RSL got=%v want=%v", got, want)
 	}
 	if got := ids(db.ReverseSkylineFiltered(customers, q)); !equalInts(got, want) {
@@ -188,7 +199,7 @@ func TestDynamicSkylineExcluding(t *testing.T) {
 	if !equalInts(all, []int{2}) {
 		t.Fatalf("DSL(c2) without exclusion = %v, want [2]", all)
 	}
-	if bbs := ids(db.DynamicSkyline(c2)); !equalInts(bbs, []int{2}) {
+	if bbs := ids(must(db.DynamicSkylineCtx(bg, c2))); !equalInts(bbs, []int{2}) {
 		t.Fatalf("BBS DSL(c2) = %v, want [2]", bbs)
 	}
 }
@@ -248,7 +259,7 @@ func TestLemma1DeletionIncludesWhyNot(t *testing.T) {
 	for trial := 0; trial < 40 && checked < 10; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		c := products[rng.Intn(len(products))]
-		lambda := db.WindowQuery(c.Point, q, c.ID)
+		lambda := must(db.WindowQueryCtx(bg, c.Point, q, c.ID))
 		if len(lambda) == 0 {
 			continue // already in RSL
 		}
@@ -277,11 +288,11 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		want := ids(db.ReverseSkylineFiltered(products, q))
-		got := ids(db.ReverseSkylineBBRS(q))
+		got := ids(must(db.ReverseSkylineBBRSCtx(bg, q)))
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d: BBRS=%v filtered=%v", trial, got, want)
 		}
-		plain := ids(db.ReverseSkyline(products, q))
+		plain := ids(must(db.ReverseSkylineCtx(bg, products, q)))
 		if !equalInts(got, plain) {
 			t.Fatalf("trial %d: BBRS=%v plain=%v", trial, got, plain)
 		}
@@ -294,10 +305,10 @@ func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	if got := ids(db.ReverseSkylineFiltered(fig1(), paperQ)); !equalInts(got, want) {
 		t.Fatalf("filtered RSL = %v", got)
 	}
-	if got := ids(db.ReverseSkyline(fig1(), paperQ)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineCtx(bg, fig1(), paperQ))); !equalInts(got, want) {
 		t.Fatalf("direct RSL = %v", got)
 	}
-	if got := ids(db.ReverseSkylineBBRS(paperQ)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineBBRSCtx(bg, paperQ))); !equalInts(got, want) {
 		t.Fatalf("BBRS RSL = %v", got)
 	}
 }
@@ -315,7 +326,7 @@ func TestConcurrentReadsRaceFree(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := products[rng.Intn(len(products))]
 				q := products[rng.Intn(len(products))].Point
-				db.WindowExists(c.Point, q, c.ID)
+				must(db.WindowExistsCtx(bg, c.Point, q, c.ID))
 				db.DynamicSkylineExcluding(c.Point, c.ID)
 				if i%10 == 0 {
 					db.ReverseSkylineFiltered(products, q)
@@ -338,7 +349,7 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := products[rng.Intn(len(products))]
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		lambda := db.WindowQuery(c.Point, q, c.ID)
+		lambda := must(db.WindowQueryCtx(bg, c.Point, q, c.ID))
 		if len(lambda) == 0 {
 			continue
 		}
@@ -358,7 +369,7 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got := ids(db.WindowFrontier(c.Point, q, centre, c.ID))
+			got := ids(must(db.WindowFrontierCtx(bg, c.Point, q, centre, c.ID)))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d centre=%v: frontier %v, want %v", trial, centre, got, want)
 			}
@@ -392,8 +403,7 @@ func TestFilteredCancelsInCandidatePass(t *testing.T) {
 	ctx, cancelFn := context.WithCancel(context.Background())
 	defer cancelFn()
 	h := &cancelAtFirst{cancel: cancelFn}
-	chk := cancel.FromContext(cancel.WithHook(cancel.WithStride(ctx, 1), h))
-	_, err := db.ReverseSkylineFilteredChecked(chk, products, u.Center())
+	_, err := db.ReverseSkylineFilteredCtx(cancel.WithHook(cancel.WithStride(ctx, 1), h), products, u.Center())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -410,7 +420,7 @@ func TestFilteredCancelsInCandidatePass(t *testing.T) {
 func TestWindowFrontierEmpty(t *testing.T) {
 	db := fig1DB()
 	c2 := geom.NewPoint(7.5, 42)
-	if got := db.WindowFrontier(c2, paperQ, paperQ, 2); len(got) != 0 {
+	if got := must(db.WindowFrontierCtx(bg, c2, paperQ, paperQ, 2)); len(got) != 0 {
 		t.Fatalf("frontier of an empty window = %v", got)
 	}
 }

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/cancel"
@@ -339,43 +338,4 @@ func (t *Tree) guidedSearch(
 		t.pruned.Add(prunedHere)
 	}
 	return true
-}
-
-// NearestNeighbors returns the k items nearest to p by Euclidean distance,
-// nearest first. Fewer than k items are returned when the tree is smaller.
-func (t *Tree) NearestNeighbors(k int, p geom.Point) []Item {
-	out := make([]Item, 0, k)
-	t.BestFirst(
-		func(x geom.Point) float64 { return p.L2(x) },
-		func(r geom.Rect) float64 { return r.MinDistL2(p) },
-		nil,
-		func(it Item, _ float64) bool {
-			out = append(out, it)
-			return len(out) < k
-		},
-	)
-	return out
-}
-
-// NearestNeighbor returns the single nearest item; ok is false when empty.
-func (t *Tree) NearestNeighbor(p geom.Point) (Item, bool) {
-	nn := t.NearestNeighbors(1, p)
-	if len(nn) == 0 {
-		return Item{}, false
-	}
-	return nn[0], true
-}
-
-// MinKeyItem returns the stored item minimising itemKey, using rectKey as the
-// lower bound for pruning; ok is false when the tree is empty.
-func (t *Tree) MinKeyItem(itemKey func(geom.Point) float64, rectKey func(geom.Rect) float64) (Item, bool) {
-	var best Item
-	bestKey := math.Inf(1)
-	found := false
-	t.BestFirst(itemKey, rectKey, nil, func(it Item, key float64) bool {
-		best, bestKey, found = it, key, true
-		_ = bestKey
-		return false
-	})
-	return best, found
 }

@@ -112,9 +112,12 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1, 1))); len(got) != 0 {
 		t.Error("range query on empty tree should be empty")
 	}
-	if _, ok := tr.NearestNeighbor(geom.NewPoint(0, 0)); ok {
-		t.Error("NN on empty tree")
-	}
+	tr.BestFirst(
+		func(p geom.Point) float64 { return p.L2(geom.NewPoint(0, 0)) },
+		func(r geom.Rect) float64 { return r.MinDistL2(geom.NewPoint(0, 0)) },
+		nil,
+		func(Item, float64) bool { t.Error("best-first on empty tree yielded an item"); return false },
+	)
 	tr.All(func(Item) bool { t.Error("All on empty tree yielded an item"); return false })
 }
 
@@ -254,7 +257,18 @@ func TestNearestNeighbors(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		p := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		k := 1 + rng.Intn(10)
-		got := tr.NearestNeighbors(k, p)
+		// The k nearest are the first k a Euclidean best-first traversal
+		// emits.
+		got := make([]Item, 0, k)
+		tr.BestFirst(
+			func(x geom.Point) float64 { return p.L2(x) },
+			func(r geom.Rect) float64 { return r.MinDistL2(p) },
+			nil,
+			func(it Item, _ float64) bool {
+				got = append(got, it)
+				return len(got) < k
+			},
+		)
 		if len(got) != k {
 			t.Fatalf("kNN returned %d items, want %d", len(got), k)
 		}
@@ -325,12 +339,17 @@ func TestMinKeyItem(t *testing.T) {
 	items := randItems(500, 2, 15)
 	tr := BulkLoad(2, items, Config{})
 	target := geom.NewPoint(500, 500)
-	it, ok := tr.MinKeyItem(
+	// The first item a best-first traversal emits minimises its key.
+	var it Item
+	ok := false
+	tr.BestFirst(
 		func(p geom.Point) float64 { return target.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(target) },
+		nil,
+		func(first Item, _ float64) bool { it, ok = first, true; return false },
 	)
 	if !ok {
-		t.Fatal("MinKeyItem on non-empty tree")
+		t.Fatal("best-first on a non-empty tree emitted nothing")
 	}
 	best := items[0]
 	for _, cand := range items {
@@ -339,7 +358,7 @@ func TestMinKeyItem(t *testing.T) {
 		}
 	}
 	if target.L1(it.Point) != target.L1(best.Point) {
-		t.Fatalf("MinKeyItem = %v, want %v", it.Point, best.Point)
+		t.Fatalf("first best-first item = %v, want %v", it.Point, best.Point)
 	}
 }
 
@@ -482,7 +501,13 @@ func TestAccessCounting(t *testing.T) {
 	}
 	// Best-first with early exit touches a fraction of the tree.
 	tr.ResetAccesses()
-	tr.NearestNeighbor(geom.NewPoint(500, 500))
+	centre := geom.NewPoint(500, 500)
+	tr.BestFirst(
+		func(p geom.Point) float64 { return centre.L2(p) },
+		func(r geom.Rect) float64 { return r.MinDistL2(centre) },
+		nil,
+		func(Item, float64) bool { return false },
+	)
 	if nn := tr.Accesses(); nn <= 0 || nn >= full {
 		t.Fatalf("NN accesses = %d, want between 1 and %d", nn, full)
 	}

@@ -1,10 +1,9 @@
 // Package skyline implements the skyline machinery the paper builds on:
-// static skylines (Definition 1) via block-nested-loops, sort-filter-skyline
-// and divide & conquer; the branch-and-bound skyline (BBS) of Papadias et al.
-// over an R*-tree; dynamic skylines (Definition 2) computed in the space
-// transformed around a centre point; the branch-and-bound global skyline used
-// to prune reverse-skyline candidates; and the k-sampled approximate dynamic
-// skyline of §VI.B.1.
+// static skylines (Definition 1) via the branch-and-bound skyline (BBS) of
+// Papadias et al. over an R*-tree; dynamic skylines (Definition 2) computed
+// in the space transformed around a centre point; the branch-and-bound
+// global skyline used to prune reverse-skyline candidates; and the k-sampled
+// approximate dynamic skyline of §VI.B.1.
 //
 // Dominance is strict throughout (≤ in every dimension, < in at least one),
 // so duplicate points never dominate each other and are all retained.
@@ -22,80 +21,8 @@ import (
 // Item aliases the R-tree item type: an identified point.
 type Item = rtree.Item
 
-// Of computes the static skyline of items with the default algorithm (SFS).
-func Of(items []Item) []Item { return SFS(items) }
-
-// BNL computes the static skyline with the block-nested-loops algorithm of
-// Börzsönyi et al. (ICDE 2001). O(n²) worst case; the baseline oracle in
-// tests and benchmarks.
-func BNL(items []Item) []Item {
-	var window []Item
-	dt := 0     // batched dominance-test count, one flush per call
-	pruned := 0 // batched discard count, same flush discipline
-	for _, cand := range items {
-		dominated := false
-		keep := window[:0]
-		for _, w := range window {
-			if dominated {
-				keep = append(keep, w)
-				continue
-			}
-			dt++
-			if w.Point.Dominates(cand.Point) {
-				dominated = true
-				keep = append(keep, w)
-				continue
-			}
-			dt++
-			if !cand.Point.Dominates(w.Point) {
-				keep = append(keep, w)
-			} else {
-				pruned++
-			}
-		}
-		window = keep
-		if !dominated {
-			window = append(window, cand)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return window
-}
-
-// SFS computes the static skyline with sort-filter-skyline: items are sorted
-// by a monotone score (coordinate sum) so that no item can dominate an
-// earlier one, then filtered against the accumulating skyline.
-func SFS(items []Item) []Item {
-	sorted := append([]Item(nil), items...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return coordSum(sorted[i].Point) < coordSum(sorted[j].Point)
-	})
-	var sky []Item
-	dt := 0
-	pruned := 0
-	for _, cand := range sorted {
-		dominated := false
-		for _, s := range sky {
-			dt++
-			if s.Point.Dominates(cand.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, cand)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return sky
-}
-
+// coordSum is the monotone key of the static and dynamic skyline
+// traversals: no point can dominate one with a smaller sum.
 func coordSum(p geom.Point) float64 {
 	var s float64
 	for _, v := range p {
@@ -113,55 +40,6 @@ func zeroPoint(p geom.Point) bool {
 		}
 	}
 	return true
-}
-
-// DC computes the static skyline by divide & conquer: partition by the median
-// of dimension 0, recurse, then filter the high half against the low half.
-func DC(items []Item) []Item {
-	if len(items) <= 16 {
-		return BNL(items)
-	}
-	vals := make([]float64, len(items))
-	for i, it := range items {
-		vals[i] = it.Point[0]
-	}
-	sort.Float64s(vals)
-	median := vals[len(vals)/2]
-	var lo, hi []Item
-	for _, it := range items {
-		if it.Point[0] <= median {
-			lo = append(lo, it)
-		} else {
-			hi = append(hi, it)
-		}
-	}
-	if len(lo) == 0 || len(hi) == 0 {
-		// Degenerate split (many ties on dim 0): fall back.
-		return BNL(items)
-	}
-	skyLo := DC(lo)
-	skyHi := DC(hi)
-	out := append([]Item(nil), skyLo...)
-	dt := 0
-	pruned := 0
-	for _, h := range skyHi {
-		dominated := false
-		for _, l := range skyLo {
-			dt++
-			if l.Point.Dominates(h.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, h)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return out
 }
 
 // BBS computes the static skyline with the branch-and-bound skyline algorithm

@@ -62,16 +62,21 @@ func keys(m map[int]bool) []int {
 
 // Paper Fig. 1(b): SK = {p1, p3, p5}.
 func TestStaticSkylinePaperExample(t *testing.T) {
-	items := fig1Points()
-	for name, alg := range map[string]func([]Item) []Item{
-		"BNL": BNL, "SFS": SFS, "DC": DC, "Of": Of,
-	} {
-		t.Run(name, func(t *testing.T) {
-			sameIDs(t, alg(items), 1, 3, 5)
-		})
-	}
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
+	tr := rtree.BulkLoad(2, fig1Points(), rtree.Config{})
 	sameIDs(t, BBS(tr), 1, 3, 5)
+}
+
+// staticSkylines computes the static skyline of items every way the package
+// can: BBS, and the dynamic skyline around the origin by the scan and by the
+// index, which is the static one for the non-negative test data.
+func staticSkylines(dims int, items []Item) map[string][]Item {
+	tr := rtree.BulkLoad(dims, items, rtree.Config{})
+	origin := make(geom.Point, dims)
+	return map[string][]Item{
+		"BBS":        BBS(tr),
+		"Dynamic":    Dynamic(items, origin),
+		"DynamicBBS": DynamicBBS(tr, origin),
+	}
 }
 
 // Paper Fig. 2(a): DSL(q) = {p2, p6} for q=(8.5,55) over pt1..pt8 minus pt2?
@@ -137,13 +142,8 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 		for seed := int64(0); seed < 5; seed++ {
 			items := randItems(400, dims, seed)
 			want := idSet(bruteSkyline(items))
-			tr := rtree.BulkLoad(dims, items, rtree.Config{})
-			for name, got := range map[string]map[int]bool{
-				"BNL": idSet(BNL(items)),
-				"SFS": idSet(SFS(items)),
-				"DC":  idSet(DC(items)),
-				"BBS": idSet(BBS(tr)),
-			} {
+			for name, sky := range staticSkylines(dims, items) {
+				got := idSet(sky)
 				if len(got) != len(want) {
 					t.Fatalf("dims=%d seed=%d %s: %d points, want %d", dims, seed, name, len(got), len(want))
 				}
@@ -236,12 +236,9 @@ func TestSkylineWithDuplicates(t *testing.T) {
 		{ID: 2, Point: geom.NewPoint(1, 1)}, // duplicate of 1
 		{ID: 3, Point: geom.NewPoint(2, 2)},
 	}
-	for name, alg := range map[string]func([]Item) []Item{"BNL": BNL, "SFS": SFS, "DC": DC} {
-		got := alg(items)
+	for name, got := range staticSkylines(2, items) {
 		sameIDsNamed(t, name, got, 1, 2)
 	}
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	sameIDsNamed(t, "BBS", BBS(tr), 1, 2)
 }
 
 func sameIDsNamed(t *testing.T, name string, got []Item, want ...int) {
@@ -258,12 +255,14 @@ func sameIDsNamed(t *testing.T, name string, got []Item, want ...int) {
 }
 
 func TestSkylineEmptyAndSingle(t *testing.T) {
-	if got := BNL(nil); len(got) != 0 {
-		t.Error("BNL(nil) should be empty")
+	for name, got := range staticSkylines(2, nil) {
+		if len(got) != 0 {
+			t.Errorf("%s of no items should be empty: %v", name, got)
+		}
 	}
 	one := []Item{{ID: 7, Point: geom.NewPoint(3, 3)}}
-	for name, alg := range map[string]func([]Item) []Item{"BNL": BNL, "SFS": SFS, "DC": DC} {
-		if got := alg(one); len(got) != 1 || got[0].ID != 7 {
+	for name, got := range staticSkylines(2, one) {
+		if len(got) != 1 || got[0].ID != 7 {
 			t.Errorf("%s single item: %v", name, got)
 		}
 	}
@@ -273,7 +272,7 @@ func TestSkylineMutualNonDominance(t *testing.T) {
 	// Property: no pair of returned skyline points dominates each other, and
 	// every non-returned point is dominated by some returned point.
 	items := randItems(500, 3, 77)
-	sky := SFS(items)
+	sky := BBS(rtree.BulkLoad(3, items, rtree.Config{}))
 	inSky := idSet(sky)
 	for i, a := range sky {
 		for j, b := range sky {

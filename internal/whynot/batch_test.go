@@ -18,7 +18,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	var rsl []Item
 	for trial := 0; trial < 40; trial++ {
 		q = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl = e.DB.ReverseSkyline(products, q)
+		rsl = must(e.DB.ReverseSkylineCtx(bg, products, q))
 		if len(rsl) >= 1 && len(rsl) <= 8 {
 			break
 		}
@@ -29,7 +29,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	}
 	var cts []Item
 	for _, c := range products {
-		if e.DB.WindowExists(c.Point, q, c.ID) {
+		if must(e.DB.WindowExistsCtx(bg, c.Point, q, c.ID)) {
 			cts = append(cts, c)
 		}
 		if len(cts) == 12 {
@@ -37,7 +37,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	sr := e.SafeRegion(q, rsl)
-	batch := e.MWQBatch(cts, q, rsl, Options{})
+	batch := must(e.MWQBatchCtx(bg, cts, q, rsl, Options{}))
 	if len(batch) != len(cts) {
 		t.Fatalf("batch size %d for %d customers", len(batch), len(cts))
 	}
@@ -51,7 +51,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	}
 	for _, w := range workerCounts() {
 		pe := engineAt(products, w)
-		parallel := pe.MWQBatchWithRegion(cts, q, sr, Options{})
+		parallel := must(pe.MWQBatchCtx(bg, cts, q, rsl, Options{}))
 		if len(parallel) != len(cts) {
 			t.Fatalf("workers=%d: batch size %d for %d customers", w, len(parallel), len(cts))
 		}
@@ -64,7 +64,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 			}
 		}
 		// Empty batch is fine.
-		if got := pe.MWQBatchWithRegion(nil, q, sr, Options{}); len(got) != 0 {
+		if got := must(pe.MWQBatchCtx(bg, nil, q, rsl, Options{})); len(got) != 0 {
 			t.Fatalf("workers=%d: empty batch should yield empty results", w)
 		}
 	}

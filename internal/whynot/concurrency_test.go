@@ -2,10 +2,14 @@ package whynot
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cancel"
+	"repro/internal/engine/faultinject"
 	"repro/internal/geom"
 	"repro/internal/region"
 	"repro/internal/rskyline"
@@ -38,7 +42,7 @@ func raceSafeRegionAgainstMutation(t *testing.T, workers int) {
 	var rsl []Item
 	for trial := 0; trial < 50; trial++ {
 		cand := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if r := db.ReverseSkyline(products, cand); len(r) >= 2 && len(r) <= 8 {
+		if r := must(db.ReverseSkylineCtx(bg, products, cand)); len(r) >= 2 && len(r) <= 8 {
 			q, rsl = cand, r
 			break
 		}
@@ -116,5 +120,51 @@ func raceSafeRegionAgainstMutation(t *testing.T, workers int) {
 	st := e.AntiDDRCacheStats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatalf("workers=%d: anti-DDR cache was never exercised", workers)
+	}
+}
+
+// TestDerivedDeadlineGetsItsOwnChecker: a context derived with a tighter
+// deadline from one that already carries a bound checker must not reuse that
+// checker — it polls the parent's Done channel and would never see the
+// child's deadline. Both the why-not layer and the reverse-skyline layer
+// must stop on the child's deadline while the parent stays live.
+func TestDerivedDeadlineGetsItsOwnChecker(t *testing.T) {
+	products := randProducts(400, 5050)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	rng := rand.New(rand.NewSource(5051))
+	var q geom.Point
+	var rsl []Item
+	for trial := 0; trial < 200 && len(rsl) < 3; trial++ {
+		q = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
+		rsl = must(e.DB.ReverseSkylineCtx(bg, products, q))
+	}
+	if len(rsl) < 3 {
+		t.Skip("no query with a reverse skyline of at least 3 sampled")
+	}
+	var ct Item
+	for _, c := range products {
+		if must(e.DB.WindowExistsCtx(bg, c.Point, q, c.ID)) {
+			ct = c
+			break
+		}
+	}
+
+	// Every safe-region member sleeps past the child's budget, and the hook
+	// makes every checkpoint poll, so the right checker stops at once.
+	inj := faultinject.New(faultinject.Rule{Site: cancel.SiteSafeRegion, Delay: 5 * time.Millisecond})
+	base, cancelBase := context.WithCancel(cancel.WithHook(context.Background(), inj))
+	defer cancelBase()
+	parent, parentChk := cancel.Bind(base)
+	child, cancelChild := context.WithTimeout(parent, time.Millisecond)
+	defer cancelChild()
+
+	if _, err := e.MWQExactCtx(child, ct, q, rsl, Options{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("MWQExactCtx under the derived deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if _, err := e.DB.ReverseSkylineFilteredCtx(child, products, q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ReverseSkylineFilteredCtx under the derived deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if parentChk.Err() != nil || parentChk.Visits() != 0 {
+		t.Fatalf("the parent's checker was used under the child: err=%v visits=%d", parentChk.Err(), parentChk.Visits())
 	}
 }

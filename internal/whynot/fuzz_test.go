@@ -94,7 +94,7 @@ func FuzzMWPMQP(f *testing.F) {
 			if cand.Cost < 0 || math.IsNaN(cand.Cost) {
 				t.Fatalf("MWP cost %v", cand.Cost)
 			}
-			if !mwp.AlreadyMember && !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !mwp.AlreadyMember && !must(e.ValidateWhyNotMoveCtx(bg, ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("invalid MWP candidate %v (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}
@@ -106,7 +106,7 @@ func FuzzMWPMQP(f *testing.F) {
 			if cand.Cost < 0 || math.IsNaN(cand.Cost) {
 				t.Fatalf("MQP cost %v", cand.Cost)
 			}
-			if !mqp.AlreadyMember && !e.ValidateQueryMove(ct, cand.Point, 1e-7) {
+			if !mqp.AlreadyMember && !must(e.ValidateQueryMoveCtx(bg, ct, cand.Point, 1e-7)) {
 				t.Fatalf("invalid MQP candidate %v (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}

@@ -56,37 +56,38 @@ type MWQResult struct {
 	AlreadyMember bool
 }
 
-// MWQ implements Algorithm 4 (Modify Query and Why-not Point) given a
-// precomputed safe region (exact from SafeRegion or approximate from
-// ApproxSafeRegion; the paper reuses one safe region across many why-not
-// questions on the same query).
+// MWQ is MWQCtx without a deadline.
 func (e *Engine) MWQ(ct Item, q geom.Point, sr region.Set, opt Options) MWQResult {
-	res, _ := e.mwq(nil, nil, nil, ct, q, sr, opt)
+	res, _ := e.MWQCtx(context.Background(), ct, q, sr, opt)
 	return res
 }
 
-// MWQCtx is MWQ with deadline/cancellation support: checkpoints cover the
-// membership probe, the anti-DDR construction, and every corner evaluation of
-// the case-C2 loop (each of which runs a full checked MWP).
+// MWQCtx implements Algorithm 4 (Modify Query and Why-not Point) given a
+// precomputed safe region (exact from SafeRegionCtx or approximate from
+// ApproxSafeRegionCtx; the paper reuses one safe region across many why-not
+// questions on the same query). Checkpoints cover the membership probe, the
+// anti-DDR construction, and every corner evaluation of the case-C2 loop
+// (each of which runs a full MWP).
 func (e *Engine) MWQCtx(ctx context.Context, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
+	return e.mwq(ctx, ct, q, sr, opt)
 }
 
-// mwq runs Algorithm 4. tr and eb are threaded explicitly (this layer has no
-// context): tr records the span timeline, eb the plan tree. Per-corner MWP
-// calls deliberately run without eb — a plan tree that grew one subtree per
-// corner would make the plan shape (and so the query fingerprint) depend on
-// the corner count instead of the pipeline structure; the corners node
-// aggregates them.
-func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
+// mwq runs Algorithm 4: ctx's trace records the span timeline and its
+// explain builder the plan tree. Per-corner MWP calls deliberately run with
+// the builder hidden — a plan tree that grew one subtree per corner would
+// make the plan shape (and so the query fingerprint) depend on the corner
+// count instead of the pipeline structure; the corners node aggregates them.
+func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
+	tr := obs.TraceFrom(ctx)
+	eb := explain.From(ctx)
 	defer tr.StartSpan("mwq")()
 	spM := eb.Start("mwq", explain.RuleNone)
 	defer spM.End()
-	member, err := e.DB.WindowExistsChecked(chk, ct.Point, q, e.exclude(ct))
+	member, err := e.DB.WindowExistsCtx(ctx, ct.Point, q, e.exclude(ct))
 	if err != nil {
 		return MWQResult{}, err
 	}
@@ -103,7 +104,7 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 	}
 	spO := eb.Start("mwq.overlap", explain.RuleSafeRegion)
 	spO.SetIn(len(sr))
-	antiDDR, err := e.antiDDROf(chk, ct)
+	antiDDR, err := e.antiDDROf(ctx, ct)
 	if err != nil {
 		spO.End()
 		return MWQResult{}, err
@@ -189,6 +190,8 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 	obs.AddPruned(len(ts) - len(qCands))
 
 	endCorners := tr.StartSpan("mwq.corners")
+	_, chk := cancel.Bind(ctx)
+	cctx := explain.Hide(ctx)
 	bestCost := math.Inf(1)
 	var bestQ geom.Point
 	var bestCt []Candidate
@@ -198,7 +201,7 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 			endCorners()
 			return MWQResult{}, err
 		}
-		res, err := e.mwp(chk, nil, ct, qc.pt, opt)
+		res, err := e.mwp(cctx, ct, qc.pt, opt)
 		if err != nil {
 			endCorners()
 			return MWQResult{}, err
@@ -239,27 +242,23 @@ func positiveRects(s region.Set) region.Set {
 	return out
 }
 
-// MWQExact computes the exact safe region and runs Algorithm 4. rsl must be
-// RSL(q) over the customers of interest.
-func (e *Engine) MWQExact(ct Item, q geom.Point, rsl []Item, opt Options) MWQResult {
-	return e.MWQ(ct, q, e.SafeRegion(q, rsl), opt)
-}
-
-// MWQExactCtx is MWQExact with deadline/cancellation support; the safe-region
-// construction — the step that is exponential in |RSL(q)| in the worst case —
-// is fully checkpointed.
+// MWQExactCtx computes the exact safe region (SafeRegionCtx) and runs
+// Algorithm 4 on it. rsl must be RSL(q) over the customers of interest. The
+// safe-region construction — the step that is exponential in |RSL(q)| in
+// the worst case — is fully checkpointed.
 func (e *Engine) MWQExactCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, opt Options) (MWQResult, error) {
 	return e.safeRegionThenMWQ(ctx, ct, q, rsl, nil, opt)
 }
 
-// MWQApprox runs Algorithm 4 on the approximate safe region assembled from
-// the pre-computed store (§VI.B.1).
+// MWQApprox is MWQApproxCtx without a deadline.
 func (e *Engine) MWQApprox(ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) MWQResult {
-	return e.MWQ(ct, q, e.ApproxSafeRegion(q, rsl, store), opt)
+	res, _ := e.MWQApproxCtx(context.Background(), ct, q, rsl, store, opt)
+	return res
 }
 
-// MWQApproxCtx is MWQApprox with deadline/cancellation support — the fast
-// rung of the engine's degradation ladder.
+// MWQApproxCtx runs Algorithm 4 on the approximate safe region assembled
+// from the pre-computed store (§VI.B.1) — the fast rung of the engine's
+// degradation ladder.
 func (e *Engine) MWQApproxCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) (MWQResult, error) {
 	return e.safeRegionThenMWQ(ctx, ct, q, rsl, store, opt)
 }
@@ -267,7 +266,7 @@ func (e *Engine) MWQApproxCtx(ctx context.Context, ct Item, q geom.Point, rsl []
 // safeRegionThenMWQ is MWQExactCtx (store == nil) and MWQApproxCtx: the
 // safe-region phase, then Algorithm 4 on the calling goroutine.
 func (e *Engine) safeRegionThenMWQ(ctx context.Context, ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) (MWQResult, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return MWQResult{}, err
 	}
@@ -275,5 +274,5 @@ func (e *Engine) safeRegionThenMWQ(ctx context.Context, ct Item, q geom.Point, r
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
+	return e.mwq(ctx, ct, q, sr, opt)
 }

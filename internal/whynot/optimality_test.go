@@ -42,7 +42,7 @@ func TestMWPOptimalityAgainstGridSearch(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(p, q, ct.ID) {
+				if must(e.DB.WindowExistsCtx(bg, p, q, ct.ID)) {
 					continue // not strictly valid
 				}
 				if c := e.costC(ct.Point, p, Options{}); c < gridBest {
@@ -87,7 +87,7 @@ func TestMQPOptimalityAgainstGridSearch(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(ct.Point, p, ct.ID) {
+				if must(e.DB.WindowExistsCtx(bg, ct.Point, p, ct.ID)) {
 					continue // p does not admit c_t as query point
 				}
 				if c := e.costQ(q, p, Options{}); c < gridBest {
@@ -132,7 +132,7 @@ func TestMWPOptimalityWeighted(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(p, q, ct.ID) {
+				if must(e.DB.WindowExistsCtx(bg, p, q, ct.ID)) {
 					continue
 				}
 				if c := e.costC(ct.Point, p, opt); c < gridBest {

@@ -9,28 +9,27 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/region"
-	"repro/internal/rskyline"
 	"repro/internal/skyline"
 )
 
-// SafeRegion implements Algorithm 3: the exact safe region of q is the
-// intersection of the anti-dominance regions of every reverse-skyline point
-// (Lemma 2), each represented as a union of rectangles built from the
-// customer's dynamic skyline (Fig. 10). rsl must be RSL(q) over the customers
-// of interest; an empty rsl yields the whole product universe, since q then
-// has no customers to lose. By construction q itself always lies in the
-// result.
+// SafeRegion is SafeRegionCtx without a deadline.
 func (e *Engine) SafeRegion(q geom.Point, rsl []Item) region.Set {
-	sr, _ := e.safeRegion(nil, q, rsl, nil)
+	sr, _ := e.SafeRegionCtx(context.Background(), q, rsl)
 	return sr
 }
 
-// SafeRegionCtx is SafeRegion with deadline/cancellation support: the
-// checkpoint fires once per reverse-skyline member (each contributes one DSL
-// computation plus one rectangle-set intersection, the part that can grow
-// exponentially with |RSL(q)|).
+// SafeRegionCtx implements Algorithm 3: the exact safe region of q is the
+// intersection of the anti-dominance regions of every reverse-skyline point
+// (Lemma 2), each represented as a union of rectangles built from the
+// customer's dynamic skyline (Fig. 10). rsl must be RSL(q) over the
+// customers of interest; an empty rsl yields the whole product universe,
+// since q then has no customers to lose. By construction q itself always
+// lies in the result. The checkpoint fires once per reverse-skyline member
+// (each contributes one DSL computation plus one rectangle-set
+// intersection, the part that can grow exponentially with |RSL(q)|).
 func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (region.Set, error) {
-	if _, err := entry(ctx); err != nil {
+	ctx, err := cancel.Enter(ctx)
+	if err != nil {
 		return nil, err
 	}
 	return e.safeRegionPhase(ctx, q, rsl, nil)
@@ -39,8 +38,8 @@ func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (r
 // safeRegionPhase runs safeRegion as one query phase, named after its
 // construction ("saferegion.exact" or "saferegion.approx"): a trace span and
 // pprof label (obs.StartPhase) plus a plan node counting the members in and
-// the rectangles out. Every ctx-aware safe-region caller opens the phase
-// here, so it reads the same at every worker count.
+// the rectangles out. Every safe-region caller opens the phase here, so it
+// reads the same at every worker count.
 func (e *Engine) safeRegionPhase(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
 	name := "saferegion.exact"
 	if store != nil {
@@ -77,7 +76,7 @@ func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store
 		site = cancel.SiteApproxSafeRegion
 	}
 	adds := make([]region.Set, len(rsl))
-	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(chk *cancel.Checker, i int) error {
+	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(ctx context.Context, i int) error {
 		c := rsl[i]
 		if store != nil {
 			if corners, found := store.Corners(c.ID); found {
@@ -85,7 +84,7 @@ func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store
 				return nil
 			}
 		}
-		add, err := e.antiDDRCached(chk, c, universe, pollAt(chk, site))
+		add, err := e.antiDDRCached(ctx, c, universe, pollAt(ctx, site))
 		adds[i] = add
 		return err
 	})
@@ -101,7 +100,7 @@ func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store
 	// Copy: adds[0] may be a shared cached set, and the fold (and
 	// ensureContainsQ below) append to sr.
 	sr := append(region.Set{}, adds[0]...)
-	poll := pollAt(cancel.FromContext(ctx), site)
+	poll := pollAt(ctx, site)
 	for _, add := range adds[1:] {
 		if sr, err = sr.IntersectSetChecked(add, poll); err != nil {
 			return nil, err
@@ -115,9 +114,9 @@ func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store
 // A hit must match the customer's position and the current database
 // generation; anything else recomputes and refreshes the entry. The returned
 // set may be shared — callers must not modify it in place.
-func (e *Engine) antiDDRCached(chk *cancel.Checker, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
+func (e *Engine) antiDDRCached(ctx context.Context, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
 	if e.addr == nil {
-		return e.antiDDRCompute(chk, c, universe, poll)
+		return e.antiDDRCompute(ctx, c, universe, poll)
 	}
 	gen := e.DB.Generation()
 	if ent, ok := e.addr.Get(c.ID); ok {
@@ -129,7 +128,7 @@ func (e *Engine) antiDDRCached(chk *cancel.Checker, c Item, universe geom.Rect, 
 		e.addr.MarkStale()
 		obs.AddCacheStale(1)
 	}
-	set, err := e.antiDDRCompute(chk, c, universe, poll)
+	set, err := e.antiDDRCompute(ctx, c, universe, poll)
 	if err != nil {
 		return nil, err
 	}
@@ -142,19 +141,20 @@ func (e *Engine) antiDDRCached(chk *cancel.Checker, c Item, universe geom.Rect, 
 // antiDDRCompute is the uncached per-customer unit of Algorithm 3: DSL(c)
 // (through the database's DSL cache when enabled) followed by the Fig. 10
 // staircase construction.
-func (e *Engine) antiDDRCompute(chk *cancel.Checker, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
-	dsl, err := e.DB.DynamicSkylineOfChecked(chk, c, e.exclude(c))
+func (e *Engine) antiDDRCompute(ctx context.Context, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
+	dsl, err := e.DB.DynamicSkylineOfCtx(ctx, c, e.exclude(c))
 	if err != nil {
 		return nil, err
 	}
 	return region.AntiDDRChecked(c.Point, points(dsl), universe, poll)
 }
 
-// pollAt adapts a checker to the poll-callback form the region package's
-// combinatorial loops accept (rectangle-set intersection and grid staircase
-// construction can dwarf any per-customer checkpoint). A nil checker yields a
-// nil poll so the legacy paths keep region's zero-overhead loops.
-func pollAt(chk *cancel.Checker, site string) func() error {
+// pollAt adapts ctx's checker to the poll-callback form the region
+// package's combinatorial loops accept (rectangle-set intersection and grid
+// staircase construction can dwarf any per-customer checkpoint). A context
+// with nothing to poll yields a nil poll, so those loops stay zero-overhead.
+func pollAt(ctx context.Context, site string) func() error {
+	_, chk := cancel.Bind(ctx)
 	if chk == nil {
 		return nil
 	}
@@ -192,39 +192,33 @@ type ApproxStore struct {
 	corners map[int][]geom.Point
 }
 
-// BuildApproxStore pre-computes approximate anti-DDR corners for every given
-// customer: the full DSL is computed once per customer, k-sampled, and the
-// resulting corners stored (first and last sorted points always retained, no
-// successive-pair merging — Fig. 16).
+// BuildApproxStore is BuildApproxStoreCtx without a deadline.
 func (e *Engine) BuildApproxStore(customers []Item, k, sortDim int) *ApproxStore {
-	store, _ := e.buildApproxStore(nil, customers, k, sortDim)
+	store, _ := e.BuildApproxStoreCtx(context.Background(), customers, k, sortDim)
 	return store
 }
 
-// BuildApproxStoreCtx is BuildApproxStore with deadline/cancellation support
-// (the offline precomputation is linear in customers but each step is a full
-// DSL computation).
+// BuildApproxStoreCtx pre-computes approximate anti-DDR corners for every
+// given customer: the full DSL is computed once per customer, k-sampled, and
+// the resulting corners stored (first and last sorted points always
+// retained, no successive-pair merging — Fig. 16). Each customer's dynamic
+// skyline is an independent read-only index traversal, so the customers fan
+// out over the DB's workers; the corners land in per-index slots and enter
+// the map in customer order once the pool drains.
 func (e *Engine) BuildApproxStoreCtx(ctx context.Context, customers []Item, k, sortDim int) (*ApproxStore, error) {
-	if _, err := entry(ctx); err != nil {
+	ctx, err := cancel.Enter(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return e.buildApproxStore(ctx, customers, k, sortDim)
-}
-
-// buildApproxStore computes every customer's corners on the DB's workers.
-// Each customer's dynamic skyline is an independent read-only index
-// traversal; the corners land in per-index slots and enter the map in
-// customer order once the pool drains.
-func (e *Engine) buildApproxStore(ctx context.Context, customers []Item, k, sortDim int) (*ApproxStore, error) {
 	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
 	universe, ok := e.DB.Universe()
 	if !ok {
 		return store, nil
 	}
 	corners := make([][]geom.Point, len(customers))
-	err := exec.ForEach(ctx, len(customers), e.DB.Workers(), cancel.SiteStoreBuild, func(chk *cancel.Checker, i int) error {
+	err = exec.ForEach(ctx, len(customers), e.DB.Workers(), cancel.SiteStoreBuild, func(ctx context.Context, i int) error {
 		c := customers[i]
-		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, e.exclude(c))
+		dsl, err := e.DB.DynamicSkylineExcludingCtx(ctx, c.Point, e.exclude(c))
 		if err != nil {
 			return err
 		}
@@ -249,20 +243,21 @@ func (s *ApproxStore) Corners(id int) ([]geom.Point, bool) {
 	return c, ok
 }
 
-// ApproxSafeRegion assembles the approximate safe region from pre-computed
-// corners. Customers missing from the store fall back to an exact anti-DDR
-// computation, keeping the result correct (always a subset of the exact safe
-// region, so no existing customer can be lost).
+// ApproxSafeRegion is ApproxSafeRegionCtx without a deadline.
 func (e *Engine) ApproxSafeRegion(q geom.Point, rsl []Item, store *ApproxStore) region.Set {
-	sr, _ := e.safeRegion(nil, q, rsl, store)
+	sr, _ := e.ApproxSafeRegionCtx(context.Background(), q, rsl, store)
 	return sr
 }
 
-// ApproxSafeRegionCtx is ApproxSafeRegion with deadline/cancellation support.
-// Its checkpoints use a distinct site from the exact construction so fault
+// ApproxSafeRegionCtx assembles the approximate safe region from
+// pre-computed corners. Customers missing from the store fall back to an
+// exact anti-DDR computation, keeping the result correct (always a subset of
+// the exact safe region, so no existing customer can be lost). Its
+// checkpoints use a distinct site from the exact construction so fault
 // injection can slow one rung of the degradation ladder without the other.
 func (e *Engine) ApproxSafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
-	if _, err := entry(ctx); err != nil {
+	ctx, err := cancel.Enter(ctx)
+	if err != nil {
 		return nil, err
 	}
 	return e.safeRegionPhase(ctx, q, rsl, store)
@@ -281,37 +276,28 @@ func TruncateSafeRegion(sr region.Set, limits geom.Rect) region.Set {
 // ExpandSafeRegion implements the other direction of the §V.B note: relax
 // the safe region to the whole feature box, accepting that customers may be
 // lost. It returns the expanded region together with the customers of rsl
-// that would be lost at a given position (use LostCustomers per candidate
-// position to quantify the side effect).
+// that would be lost at a given position (use LostCustomersCtx per
+// candidate position to quantify the side effect).
 func ExpandSafeRegion(limits geom.Rect) region.Set {
 	return region.Set{limits.Clone()}
 }
 
-// LostCustomers returns the members of rsl that would leave the reverse
+// LostCustomersCtx returns the members of rsl that would leave the reverse
 // skyline if the query point moved to qStar — the side-effect measure for
-// truncated/expanded safe regions and for raw MQP answers.
-func (e *Engine) LostCustomers(qStar geom.Point, rsl []Item) []Item {
-	lost, _ := e.lostCustomers(nil, qStar, rsl)
-	return lost
-}
-
-// LostCustomersCtx is LostCustomers with deadline/cancellation support (one
-// window-existence probe per reverse-skyline member).
+// truncated/expanded safe regions and for raw MQP answers. It runs one
+// window-existence probe per reverse-skyline member.
 func (e *Engine) LostCustomersCtx(ctx context.Context, qStar geom.Point, rsl []Item) ([]Item, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.lostCustomers(chk, qStar, rsl)
-}
-
-func (e *Engine) lostCustomers(chk *cancel.Checker, qStar geom.Point, rsl []Item) ([]Item, error) {
+	_, chk := cancel.Bind(ctx)
 	var lost []Item
 	for _, c := range rsl {
 		if err := chk.Point(cancel.SiteCustomer); err != nil {
 			return nil, err
 		}
-		gone, err := e.DB.WindowExistsChecked(chk, c.Point, qStar, e.exclude(c))
+		gone, err := e.DB.WindowExistsCtx(ctx, c.Point, qStar, e.exclude(c))
 		if err != nil {
 			return nil, err
 		}
@@ -322,63 +308,21 @@ func (e *Engine) lostCustomers(chk *cancel.Checker, qStar geom.Point, rsl []Item
 	return lost, nil
 }
 
-// AntiDDROf returns the anti-dominance region of an arbitrary point as a
+// AntiDDROfCtx returns the anti-dominance region of an arbitrary point as a
 // rectangle set (used by Algorithm 4 for the why-not point and exposed for
 // callers that want to inspect it).
-func (e *Engine) AntiDDROf(c Item) region.Set {
-	set, _ := e.antiDDROf(nil, c)
-	return set
-}
-
-// AntiDDROfCtx is AntiDDROf with deadline/cancellation support.
 func (e *Engine) AntiDDROfCtx(ctx context.Context, c Item) (region.Set, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.antiDDROf(chk, c)
+	return e.antiDDROf(ctx, c)
 }
 
-func (e *Engine) antiDDROf(chk *cancel.Checker, c Item) (region.Set, error) {
+func (e *Engine) antiDDROf(ctx context.Context, c Item) (region.Set, error) {
 	universe, ok := e.DB.Universe()
 	if !ok {
 		return region.Set{geom.PointRect(c.Point)}, nil
 	}
-	return e.antiDDRCompute(chk, c, universe, pollAt(chk, cancel.SiteAntiDDR))
-}
-
-// ReverseSkyline recomputes RSL(q) over the given customers (convenience
-// passthrough used by the harness and examples).
-func (e *Engine) ReverseSkyline(customers []Item, q geom.Point) []Item {
-	out, _ := e.reverseSkyline(nil, customers, q)
-	return out
-}
-
-// ReverseSkylineCtx is ReverseSkyline with deadline/cancellation support.
-func (e *Engine) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
-	chk, err := entry(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return e.reverseSkyline(chk, customers, q)
-}
-
-func (e *Engine) reverseSkyline(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	if e.Mono {
-		return e.DB.ReverseSkylineChecked(chk, customers, q)
-	}
-	out := make([]Item, 0)
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		member, err := e.DB.WindowExistsChecked(chk, c.Point, q, rskyline.NoExclude)
-		if err != nil {
-			return nil, err
-		}
-		if !member {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return e.antiDDRCompute(ctx, c, universe, pollAt(ctx, cancel.SiteAntiDDR))
 }

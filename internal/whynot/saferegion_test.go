@@ -13,7 +13,7 @@ import (
 func TestTruncateSafeRegion(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 
 	// Limit the price to [8, 12]: the truncated region must be inside both
@@ -40,7 +40,7 @@ func TestTruncateSafeRegion(t *testing.T) {
 		}
 		p := r.Center()
 		for _, c := range rsl {
-			if e.DB.WindowExists(c.Point, p, c.ID) {
+			if must(e.DB.WindowExistsCtx(bg, c.Point, p, c.ID)) {
 				t.Fatalf("customer %d lost inside the truncated region at %v", c.ID, p)
 			}
 		}
@@ -55,7 +55,7 @@ func TestTruncateSafeRegion(t *testing.T) {
 func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 
 	limits := geom.NewRect(geom.NewPoint(2.5, 20), geom.NewPoint(26, 90))
 	exp := ExpandSafeRegion(limits)
@@ -63,12 +63,12 @@ func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 		t.Fatalf("expanded region = %v", exp)
 	}
 	// Moving far away loses customers, and LostCustomers reports them.
-	lost := e.LostCustomers(geom.NewPoint(26, 20), rsl)
+	lost := must(e.LostCustomersCtx(bg, geom.NewPoint(26, 20), rsl))
 	if len(lost) == 0 {
 		t.Fatal("a drastic move should lose at least one customer")
 	}
 	// Staying put loses nobody.
-	if got := e.LostCustomers(paperQ, rsl); len(got) != 0 {
+	if got := must(e.LostCustomersCtx(bg, paperQ, rsl)); len(got) != 0 {
 		t.Fatalf("staying at q lost %v", got)
 	}
 	// Consistency: every reported-lost customer really fails the window
@@ -78,7 +78,7 @@ func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 		lostSet[c.ID] = true
 	}
 	for _, c := range rsl {
-		fails := e.DB.WindowExists(c.Point, geom.NewPoint(26, 20), c.ID)
+		fails := must(e.DB.WindowExistsCtx(bg, c.Point, geom.NewPoint(26, 20), c.ID))
 		if fails != lostSet[c.ID] {
 			t.Fatalf("LostCustomers inconsistent for %d", c.ID)
 		}
@@ -95,7 +95,7 @@ func TestApproxSafeRegionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(778))
 	for trial := 0; trial < 30; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 8 {
 			continue
 		}
@@ -181,7 +181,7 @@ func TestSafeRegionExactnessRandom(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 4; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
 		if len(rsl) < 2 || len(rsl) > 8 {
 			continue
 		}
@@ -191,7 +191,7 @@ func TestSafeRegionExactnessRandom(t *testing.T) {
 			p := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 			safe := true
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, p, c.ID) {
+				if must(e.DB.WindowExistsCtx(bg, c.Point, p, c.ID)) {
 					safe = false
 					break
 				}
@@ -238,7 +238,7 @@ func TestSortDimOptionStillValid(t *testing.T) {
 		}
 		tested++
 		for _, cand := range res.Candidates {
-			if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !must(e.ValidateWhyNotMoveCtx(bg, ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("SortDim=1 candidate %v invalid", cand.Point)
 			}
 		}
@@ -257,33 +257,10 @@ func TestSortDimOptionStillValid(t *testing.T) {
 func TestRegionEquivalenceHelperOnSafeRegions(t *testing.T) {
 	// The same safe region computed twice must be equivalent.
 	e := fig1Engine()
-	rsl := e.DB.ReverseSkyline(fig1(), paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, fig1(), paperQ))
 	a := e.SafeRegion(paperQ, rsl)
 	b := e.SafeRegion(paperQ, rsl)
 	if !region.Equivalent(a, b) {
 		t.Fatal("safe region computation must be deterministic")
-	}
-}
-
-func TestEngineReverseSkylinePassthrough(t *testing.T) {
-	// Monochromatic engine: same result as the DB path.
-	e := fig1Engine()
-	mono := e.ReverseSkyline(fig1(), paperQ)
-	if len(mono) != 5 {
-		t.Fatalf("mono RSL = %d", len(mono))
-	}
-	// Bichromatic engine: customers with IDs outside the product space.
-	products := randProducts(200, 60)
-	eb := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), false)
-	customers := randProducts(50, 61)
-	for i := range customers {
-		customers[i].ID += 50000
-	}
-	q := geom.NewPoint(50, 50)
-	got := eb.ReverseSkyline(customers, q)
-	for _, c := range got {
-		if eb.DB.WindowExists(c.Point, q, rskyline.NoExclude) {
-			t.Fatalf("bichromatic member %d fails the window test", c.ID)
-		}
 	}
 }

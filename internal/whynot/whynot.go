@@ -4,7 +4,7 @@
 // Given a product database P (package rskyline), a query product q and a
 // why-not customer c_t ∉ RSL(q), the package provides:
 //
-//   - Explain — aspect (1) of §III: the culprit products Λ returned by the
+//   - ExplainCtx — aspect (1) of §III: the culprit products Λ returned by the
 //     window query, whose deletion would admit c_t (Lemma 1);
 //   - MWP (Algorithm 1) — move the why-not point: minimal modifications
 //     c_t → c_t* such that q ∈ DSL(c_t*);
@@ -22,6 +22,12 @@
 // become strictly valid after an arbitrarily small further move. Validation
 // helpers apply that ε-move before re-checking membership with real window
 // queries.
+//
+// Every operation is one ctx-first method (XCtx). The context carries the
+// query's state down to the index: its cancellation checker (bound by
+// cancel.Enter at the method's boundary), its trace and its plan builder.
+// The context-free methods that remain run their XCtx body under
+// context.Background().
 package whynot
 
 import (
@@ -129,36 +135,18 @@ func (e *Engine) exclude(ct Item) int {
 	return rskyline.NoExclude
 }
 
-// entry guards a context-aware entry point: it rejects an already-cancelled
-// context before any algorithmic work happens and hands back the per-query
-// checker used by every checkpoint below.
-func entry(ctx context.Context) (*cancel.Checker, error) {
-	if ctx == nil {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cancel.FromContext(ctx), nil
-}
-
-// Explain answers aspect (1) of §III: it returns the products Λ that keep
-// c_t out of RSL(q). An empty result means c_t is already a reverse-skyline
-// point of q. By Lemma 1, deleting Λ from P admits c_t.
-func (e *Engine) Explain(ct Item, q geom.Point) []Item {
-	return e.DB.WindowQuery(ct.Point, q, e.exclude(ct))
-}
-
-// ExplainCtx is Explain with deadline/cancellation support.
+// ExplainCtx answers aspect (1) of §III: it returns the products Λ that
+// keep c_t out of RSL(q). An empty result means c_t is already a
+// reverse-skyline point of q. By Lemma 1, deleting Λ from P admits c_t.
 func (e *Engine) ExplainCtx(ctx context.Context, ct Item, q geom.Point) ([]Item, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return nil, err
 	}
 	_, endPhase := obs.StartPhase(ctx, "explain")
 	defer endPhase()
 	sp := explain.From(ctx).Start("explain.window", explain.RuleDSLWindow)
-	out, err := e.DB.WindowQueryChecked(chk, ct.Point, q, e.exclude(ct))
+	out, err := e.DB.WindowQueryCtx(ctx, ct.Point, q, e.exclude(ct))
 	if err == nil {
 		sp.SetOut(len(out))
 	}
@@ -180,7 +168,7 @@ func (e *Engine) costQ(from, to geom.Point, opt Options) float64 {
 type MWPResult struct {
 	// Frontier is F: the members of the window-query result Λ minimal under
 	// dynamic dominance w.r.t. q, whose midpoints bound the valid area. (The
-	// full Λ is never materialised — use Explain for aspect (1); the
+	// full Λ is never materialised — use ExplainCtx for aspect (1); the
 	// frontier is extracted by an index-level branch-and-bound.)
 	Frontier []Item
 	// Candidates are the proposed c_t* locations, sorted by ascending cost.
@@ -194,37 +182,38 @@ type MWPResult struct {
 // cannot happen for results produced by MWP.
 func (r MWPResult) Best() Candidate { return r.Candidates[0] }
 
-// MWP implements Algorithm 1 (Modify Why-Not Point): it computes candidate
-// locations c_t* of minimal movement such that q enters the dynamic skyline
-// of c_t*. The construction works in the orientation-canonical frame (each
-// dimension flipped so that q lies above c_t), which reproduces the paper's
-// formulas exactly for their configuration and stays correct for arbitrary
-// relative positions.
+// MWP is MWPCtx without a deadline.
 func (e *Engine) MWP(ct Item, q geom.Point, opt Options) MWPResult {
-	res, _ := e.mwp(nil, nil, ct, q, opt)
+	res, _ := e.MWPCtx(context.Background(), ct, q, opt)
 	return res
 }
 
-// MWPCtx is MWP with deadline/cancellation support: the frontier extraction
-// (the only index-touching, potentially expensive step) carries checkpoints.
+// MWPCtx implements Algorithm 1 (Modify Why-Not Point): it computes
+// candidate locations c_t* of minimal movement such that q enters the
+// dynamic skyline of c_t*. The construction works in the
+// orientation-canonical frame (each dimension flipped so that q lies above
+// c_t), which reproduces the paper's formulas exactly for their
+// configuration and stays correct for arbitrary relative positions. The
+// frontier extraction (the only index-touching, potentially expensive step)
+// carries checkpoints.
 func (e *Engine) MWPCtx(ctx context.Context, ct Item, q geom.Point, opt Options) (MWPResult, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return MWPResult{}, err
 	}
 	_, endPhase := obs.StartPhase(ctx, "mwp")
 	defer endPhase()
-	eb := explain.From(ctx)
-	sp := eb.Start("mwp", explain.RuleNone)
+	sp := explain.From(ctx).Start("mwp", explain.RuleNone)
 	defer sp.End()
-	return e.mwp(chk, eb, ct, q, opt)
+	return e.mwp(ctx, ct, q, opt)
 }
 
-// mwp runs Algorithm 1. eb, when non-nil, receives the per-phase plan nodes
-// (threaded explicitly like chk — this layer has no context).
-func (e *Engine) mwp(chk *cancel.Checker, eb *explain.Builder, ct Item, q geom.Point, opt Options) (MWPResult, error) {
+// mwp runs Algorithm 1 without opening a phase of its own; the plan nodes go
+// to ctx's explain builder, if any.
+func (e *Engine) mwp(ctx context.Context, ct Item, q geom.Point, opt Options) (MWPResult, error) {
+	eb := explain.From(ctx)
 	spF := eb.Start("mwp.frontier", explain.RuleDSLWindow)
-	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, q, e.exclude(ct))
+	frontier, err := e.DB.WindowFrontierCtx(ctx, ct.Point, q, q, e.exclude(ct))
 	if err != nil {
 		spF.End()
 		return MWPResult{}, err
@@ -417,23 +406,16 @@ func dedupCandidates(cands []Candidate) []Candidate {
 	return out
 }
 
-// ValidateWhyNotMove reports whether moving the why-not point to cand admits
-// it into RSL(q) after an ε-nudge toward q (candidates lie on the closure of
-// the valid region; see the package comment).
-func (e *Engine) ValidateWhyNotMove(ct Item, q geom.Point, cand geom.Point, eps float64) bool {
-	nudged := nudgeToward(cand, q, eps)
-	return !e.DB.WindowExists(nudged, q, e.exclude(ct))
-}
-
-// ValidateWhyNotMoveCtx is ValidateWhyNotMove with deadline/cancellation
-// support.
+// ValidateWhyNotMoveCtx reports whether moving the why-not point to cand
+// admits it into RSL(q) after an ε-nudge toward q (candidates lie on the
+// closure of the valid region; see the package comment).
 func (e *Engine) ValidateWhyNotMoveCtx(ctx context.Context, ct Item, q geom.Point, cand geom.Point, eps float64) (bool, error) {
-	chk, err := entry(ctx)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
 		return false, err
 	}
 	nudged := nudgeToward(cand, q, eps)
-	found, err := e.DB.WindowExistsChecked(chk, nudged, q, e.exclude(ct))
+	found, err := e.DB.WindowExistsCtx(ctx, nudged, q, e.exclude(ct))
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +31,17 @@ func fig1Engine() *Engine {
 	return NewEngine(rskyline.NewDB(2, fig1(), rtree.Config{}), true)
 }
 
+// bg is the context of every test call that is not about cancellation.
+var bg = context.Background()
+
+// must unwraps the result of a ctx-form call under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func hasPoint(cands []Candidate, p geom.Point) bool {
 	for _, c := range cands {
 		if c.Point.ApproxEqual(p, 1e-9) {
@@ -47,7 +59,7 @@ func TestMWPPaperExample(t *testing.T) {
 	if res.AlreadyMember {
 		t.Fatal("c1 must be a why-not point")
 	}
-	if lambda := e.Explain(c1, paperQ); len(lambda) != 1 || lambda[0].ID != 2 {
+	if lambda := must(e.ExplainCtx(bg, c1, paperQ)); len(lambda) != 1 || lambda[0].ID != 2 {
 		t.Fatalf("Λ = %v, want [p2]", lambda)
 	}
 	if len(res.Frontier) != 1 || res.Frontier[0].ID != 2 {
@@ -63,7 +75,7 @@ func TestMWPPaperExample(t *testing.T) {
 	}
 	// Both candidates must actually admit c1 after the ε-nudge.
 	for _, c := range res.Candidates {
-		if !e.ValidateWhyNotMove(c1, paperQ, c.Point, 1e-9) {
+		if !must(e.ValidateWhyNotMoveCtx(bg, c1, paperQ, c.Point, 1e-9)) {
 			t.Fatalf("candidate %v does not admit c1", c.Point)
 		}
 	}
@@ -88,7 +100,7 @@ func TestMQPPaperExample(t *testing.T) {
 		t.Fatalf("best MQP candidate = %v, want (7.5, 55)", res.Best().Point)
 	}
 	for _, c := range res.Candidates {
-		if !e.ValidateQueryMove(c1, c.Point, 1e-9) {
+		if !must(e.ValidateQueryMoveCtx(bg, c1, c.Point, 1e-9)) {
 			t.Fatalf("candidate %v does not admit c1", c.Point)
 		}
 	}
@@ -104,7 +116,7 @@ func TestMQPPaperExample(t *testing.T) {
 func TestSafeRegionPaperExample(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	if len(rsl) != 5 {
 		t.Fatalf("|RSL(q)| = %d, want 5", len(rsl))
 	}
@@ -135,7 +147,7 @@ func TestSafeRegionPaperExample(t *testing.T) {
 func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 	// Probe interior grid points of every safe-region rectangle (the closed
 	// boundary may weakly lose a customer by construction, so stay inside).
@@ -147,7 +159,7 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 					r.Lo[1]+fy*(r.Hi[1]-r.Lo[1]),
 				)
 				for _, c := range rsl {
-					if e.DB.WindowExists(c.Point, qs, c.ID) {
+					if must(e.DB.WindowExistsCtx(bg, c.Point, qs, c.ID)) {
 						t.Fatalf("moving q to %v loses customer %d", qs, c.ID)
 					}
 				}
@@ -161,7 +173,7 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 			qs := geom.NewPoint(x, y)
 			safe := true
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, qs, c.ID) {
+				if must(e.DB.WindowExistsCtx(bg, c.Point, qs, c.ID)) {
 					safe = false
 					break
 				}
@@ -181,9 +193,9 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 func TestMWQPaperExampleC7(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	c7 := Item{ID: 7, Point: geom.NewPoint(26, 70)}
-	res := e.MWQExact(c7, paperQ, rsl, Options{})
+	res := must(e.MWQExactCtx(bg, c7, paperQ, rsl, Options{}))
 	if res.Case != CaseOverlap {
 		t.Fatalf("case = %v, want C1 (overlap)", res.Case)
 	}
@@ -200,11 +212,11 @@ func TestMWQPaperExampleC7(t *testing.T) {
 	// q* is the infimum on the closed overlap boundary; verify after an
 	// ε-move into the overlap interior: it admits c7 and keeps all of RSL(q).
 	qn := res.Overlap.InteriorNudge(res.QStar, 1e-9)
-	if e.DB.WindowExists(c7.Point, qn, 7) {
+	if must(e.DB.WindowExistsCtx(bg, c7.Point, qn, 7)) {
 		t.Fatal("q* does not admit c7")
 	}
 	for _, c := range rsl {
-		if e.DB.WindowExists(c.Point, qn, c.ID) {
+		if must(e.DB.WindowExistsCtx(bg, c.Point, qn, c.ID)) {
 			t.Fatalf("q* loses existing customer %d", c.ID)
 		}
 	}
@@ -217,9 +229,9 @@ func TestMWQPaperExampleC7(t *testing.T) {
 func TestMWQPaperExampleC1(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	c1 := Item{ID: 1, Point: geom.NewPoint(5, 30)}
-	res := e.MWQExact(c1, paperQ, rsl, Options{})
+	res := must(e.MWQExactCtx(bg, c1, paperQ, rsl, Options{}))
 	if res.Case != CaseDisjoint {
 		t.Fatalf("case = %v, want C2 (disjoint)", res.Case)
 	}
@@ -250,12 +262,12 @@ func TestMWQPaperExampleC1(t *testing.T) {
 	if !res.SafeRegion.Contains(res.QStar) {
 		t.Fatal("q* must stay inside the safe region")
 	}
-	if !e.ValidateWhyNotMove(c1, res.QStar, res.CtStar, 1e-9) {
+	if !must(e.ValidateWhyNotMoveCtx(bg, c1, res.QStar, res.CtStar, 1e-9)) {
 		t.Fatalf("c1* = %v does not admit c1 against q* = %v", res.CtStar, res.QStar)
 	}
 	qn := res.SafeRegion.InteriorNudge(res.QStar, 1e-9)
 	for _, c := range rsl {
-		if e.DB.WindowExists(c.Point, qn, c.ID) {
+		if must(e.DB.WindowExistsCtx(bg, c.Point, qn, c.ID)) {
 			t.Fatalf("q* loses existing customer %d", c.ID)
 		}
 	}
@@ -269,7 +281,7 @@ func TestMWQPaperExampleC1(t *testing.T) {
 func TestAlreadyMemberShortCircuits(t *testing.T) {
 	e := fig1Engine()
 	c2 := Item{ID: 2, Point: geom.NewPoint(7.5, 42)}
-	if got := e.Explain(c2, paperQ); len(got) != 0 {
+	if got := must(e.ExplainCtx(bg, c2, paperQ)); len(got) != 0 {
 		t.Fatalf("Explain for a member = %v, want empty", got)
 	}
 	mwp := e.MWP(c2, paperQ, Options{})
@@ -280,8 +292,8 @@ func TestAlreadyMemberShortCircuits(t *testing.T) {
 	if !mqp.AlreadyMember || mqp.Best().Cost != 0 {
 		t.Fatalf("MQP for member = %+v", mqp)
 	}
-	rsl := e.DB.ReverseSkyline(fig1(), paperQ)
-	mwq := e.MWQExact(c2, paperQ, rsl, Options{})
+	rsl := must(e.DB.ReverseSkylineCtx(bg, fig1(), paperQ))
+	mwq := must(e.MWQExactCtx(bg, c2, paperQ, rsl, Options{}))
 	if !mwq.AlreadyMember || mwq.Cost != 0 {
 		t.Fatalf("MWQ for member = %+v", mwq)
 	}
@@ -313,7 +325,7 @@ func TestMWPValidityRandom(t *testing.T) {
 			}
 			tested++
 			for _, cand := range res.Candidates {
-				if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+				if !must(e.ValidateWhyNotMoveCtx(bg, ct, q, cand.Point, 1e-7)) {
 					t.Fatalf("seed %d: invalid MWP candidate %v for ct=%v q=%v",
 						seed, cand.Point, ct.Point, q)
 				}
@@ -348,7 +360,7 @@ func TestMQPValidityRandom(t *testing.T) {
 			}
 			tested++
 			for _, cand := range res.Candidates {
-				if !e.ValidateQueryMove(ct, cand.Point, 1e-7) {
+				if !must(e.ValidateQueryMoveCtx(bg, ct, cand.Point, 1e-7)) {
 					t.Fatalf("seed %d: invalid MQP candidate %v for ct=%v q=%v",
 						seed, cand.Point, ct.Point, q)
 				}
@@ -370,16 +382,16 @@ func TestMWQSoundnessRandom(t *testing.T) {
 		tested := 0
 		for trial := 0; trial < 40 && tested < 6; trial++ {
 			q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-			rsl := e.DB.ReverseSkyline(products, q)
+			rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
 			if len(rsl) == 0 || len(rsl) > 12 {
 				continue
 			}
 			ct := products[rng.Intn(len(products))]
-			if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+			if !must(e.DB.WindowExistsCtx(bg, ct.Point, q, ct.ID)) {
 				continue // already a member
 			}
 			tested++
-			res := e.MWQExact(ct, q, rsl, Options{})
+			res := must(e.MWQExactCtx(bg, ct, q, rsl, Options{}))
 			// q* is an infimum on the closed safe-region boundary; after an
 			// ε-move into the region interior it must preserve every
 			// existing reverse-skyline customer.
@@ -388,7 +400,7 @@ func TestMWQSoundnessRandom(t *testing.T) {
 				qn = res.Overlap.InteriorNudge(res.QStar, 1e-9)
 			}
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, qn, c.ID) {
+				if must(e.DB.WindowExistsCtx(bg, c.Point, qn, c.ID)) {
 					t.Fatalf("seed %d: MWQ q*=%v loses customer %d (case %v)",
 						seed, res.QStar, c.ID, res.Case)
 				}
@@ -398,11 +410,11 @@ func TestMWQSoundnessRandom(t *testing.T) {
 				if res.Cost != 0 {
 					t.Fatalf("seed %d: C1 with non-zero cost %v", seed, res.Cost)
 				}
-				if e.DB.WindowExists(ct.Point, qn, ct.ID) {
+				if must(e.DB.WindowExistsCtx(bg, ct.Point, qn, ct.ID)) {
 					t.Fatalf("seed %d: C1 q*=%v does not admit ct=%v", seed, res.QStar, ct.Point)
 				}
 			case CaseDisjoint:
-				if !e.ValidateWhyNotMove(ct, res.QStar, res.CtStar, 1e-7) {
+				if !must(e.ValidateWhyNotMoveCtx(bg, ct, res.QStar, res.CtStar, 1e-7)) {
 					t.Fatalf("seed %d: C2 ct*=%v invalid against q*=%v", seed, res.CtStar, res.QStar)
 				}
 				// MWQ ≤ MWP.
@@ -428,7 +440,7 @@ func TestApproxSafeRegionSubset(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
@@ -458,12 +470,12 @@ func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 60 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
 		ct := products[rng.Intn(len(products))]
-		if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+		if !must(e.DB.WindowExistsCtx(bg, ct.Point, q, ct.ID)) {
 			continue
 		}
 		tested++
@@ -481,7 +493,7 @@ func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 func TestMQPTotalCost(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 	// Moving q inside its safe region costs nothing.
 	inside := geom.NewPoint(8.5, 55)
@@ -521,7 +533,7 @@ func TestMWPHigherDimensional(t *testing.T) {
 		}
 		tested++
 		for _, cand := range res.Candidates {
-			if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !must(e.ValidateWhyNotMoveCtx(bg, ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("3-d MWP candidate %v invalid (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}

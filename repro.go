@@ -168,11 +168,9 @@ type DBOptions struct {
 	// Observability turns on the metrics registry and per-query tracing for
 	// this DB: Metrics() serves Prometheus/JSON renderings of the paper's
 	// cost counters (node accesses, dominance tests, ...), worker-pool
-	// utilisation flows into the fan-outs of the XxxContext methods (a
-	// reverse-skyline fan-out sees it only under a context that can be
-	// cancelled, the one its checkpoints carry), and StartTrace records
-	// per-query phase spans. Disabled (the default), every instrumentation
-	// hook is a nil no-op on the query path.
+	// utilisation flows into every fan-out of every query method, and
+	// StartTrace records per-query phase spans. Disabled (the default),
+	// every instrumentation hook is a nil no-op on the query path.
 	Observability bool
 	// Durability, when non-nil, configures write-ahead logging for this DB.
 	// Only OpenDurable reads it; NewDBWithOptions ignores it (an in-memory DB
@@ -353,12 +351,18 @@ func (db *DB) MWPExplain(ctx context.Context, ct Item, q Point, opt Options) (MW
 	return res, finish(""), err
 }
 
-// obsCtx instruments a context entering this DB: worker-pool metrics ride it
-// into every exec.ForEach fan-out below. The per-op counter and latency
-// histogram are recorded by the returned finish func (nil-safe when off),
-// and with the flight recorder on each entry gets its own QueryRecord whose
-// trace rides the context (unless the caller already supplied one).
+// obsCtx instruments a context entering this DB; every XxxContext method
+// opens it exactly once, and every context-free method is one call of its
+// XxxContext twin, so both forms report alike. Worker-pool metrics ride the
+// context into every exec.ForEach fan-out below. The per-op counter and
+// latency histogram are recorded by the returned finish func (nil-safe when
+// off), and with the flight recorder on each entry gets its own QueryRecord
+// whose trace rides the context (unless the caller already supplied one). A
+// nil context is treated as context.Background().
 func (db *DB) obsCtx(ctx context.Context, op string) (context.Context, func()) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if db.reg == nil && db.flight == nil {
 		return ctx, func() {}
 	}
@@ -468,7 +472,8 @@ func (db *DB) Dims() int { return db.engine.DB.Dims() }
 // DynamicSkyline returns DSL(c): the products not dynamically dominated with
 // respect to the preference point c (Definition 2).
 func (db *DB) DynamicSkyline(c Point) []Item {
-	return db.engine.DB.DynamicSkyline(c)
+	out, _ := db.DynamicSkylineContext(context.Background(), c)
+	return out
 }
 
 // ReverseSkyline returns RSL(q) over the given customers: those whose dynamic
@@ -476,40 +481,44 @@ func (db *DB) DynamicSkyline(c Point) []Item {
 // candidates that survive the global-dominance filter are verified on the
 // worker pool; results are identical.
 func (db *DB) ReverseSkyline(customers []Item, q Point) []Item {
-	_, done := db.obsCtx(context.Background(), "rsl")
-	defer done()
-	return db.engine.DB.ReverseSkylineFiltered(customers, q)
+	out, _ := db.ReverseSkylineContext(context.Background(), customers, q)
+	return out
 }
 
 // IsReverseSkyline reports whether customer c belongs to RSL(q).
 func (db *DB) IsReverseSkyline(c Item, q Point) bool {
-	return db.engine.DB.IsReverseSkyline(c, q)
+	member, _ := db.IsReverseSkylineContext(context.Background(), c, q)
+	return member
 }
 
 // Explain returns the culprit products whose presence keeps c_t out of
 // RSL(q); empty means c_t is already a reverse-skyline point.
 func (db *DB) Explain(ct Item, q Point) []Item {
-	return db.engine.Explain(ct, q)
+	out, _ := db.ExplainContext(context.Background(), ct, q)
+	return out
 }
 
 // MWP modifies the why-not point: candidate minimal moves of c_t that put q
 // into its dynamic skyline (Algorithm 1).
 func (db *DB) MWP(ct Item, q Point, opt Options) MWPResult {
-	return db.engine.MWP(ct, q, opt)
+	res, _ := db.MWPContext(context.Background(), ct, q, opt)
+	return res
 }
 
 // MQP modifies the query point: candidate minimal moves of q that put c_t
 // into RSL(q*) (Algorithm 2). Existing customers may be lost; use
 // MQPTotalCost to charge their restoration.
 func (db *DB) MQP(ct Item, q Point, opt Options) MQPResult {
-	return db.engine.MQP(ct, q, opt)
+	res, _ := db.MQPContext(context.Background(), ct, q, opt)
+	return res
 }
 
 // MQPTotalCost is the §VI.A experimental cost of a refined query point:
 // distance from the safe region plus the MWP cost of winning back every lost
 // customer.
 func (db *DB) MQPTotalCost(q, qStar Point, rsl []Item, sr Region, opt Options) float64 {
-	return db.engine.MQPTotalCost(q, qStar, rsl, sr, opt)
+	cost, _ := db.MQPTotalCostContext(context.Background(), q, qStar, rsl, sr, opt)
+	return cost
 }
 
 // SafeRegion computes the exact safe region of q (Algorithm 3): the locus of
@@ -517,30 +526,30 @@ func (db *DB) MQPTotalCost(q, qStar Point, rsl []Item, sr Region, opt Options) f
 // With Parallelism configured the per-customer anti-dominance regions are
 // built on the worker pool; results are identical.
 func (db *DB) SafeRegion(q Point, rsl []Item) Region {
-	_, done := db.obsCtx(context.Background(), "saferegion")
-	defer done()
-	return db.engine.SafeRegion(q, rsl)
+	sr, _ := db.SafeRegionContext(context.Background(), q, rsl)
+	return sr
 }
 
 // AntiDominanceRegion returns the anti-DDR of a customer as rectangles
 // (Fig. 10): q lies inside it iff the customer is in RSL(q).
 func (db *DB) AntiDominanceRegion(c Item) Region {
-	return db.engine.AntiDDROf(c)
+	set, _ := db.AntiDominanceRegionContext(context.Background(), c)
+	return set
 }
 
 // MWQ answers the why-not question with both-point modification under a
 // precomputed safe region (Algorithm 4).
 func (db *DB) MWQ(ct Item, q Point, sr Region, opt Options) MWQResult {
-	return db.engine.MWQ(ct, q, sr, opt)
+	res, _ := db.MWQContext(context.Background(), ct, q, sr, opt)
+	return res
 }
 
 // MWQExact computes the safe region and answers the why-not question. With
 // Parallelism configured the safe-region construction runs on the worker
 // pool; results are identical.
 func (db *DB) MWQExact(ct Item, q Point, rsl []Item, opt Options) MWQResult {
-	_, done := db.obsCtx(context.Background(), "mwq")
-	defer done()
-	return db.engine.MWQExact(ct, q, rsl, opt)
+	res, _ := db.MWQExactContext(context.Background(), ct, q, rsl, opt)
+	return res
 }
 
 // MWQBatch answers one why-not question per customer against the same query
@@ -548,9 +557,8 @@ func (db *DB) MWQExact(ct Item, q Point, rsl []Item, opt Options) MWQResult {
 // align positionally with cts. With Parallelism configured both the
 // safe-region construction and the per-question loop run on the worker pool.
 func (db *DB) MWQBatch(cts []Item, q Point, rsl []Item, opt Options) []MWQResult {
-	_, done := db.obsCtx(context.Background(), "mwq-batch")
-	defer done()
-	return db.engine.MWQBatch(cts, q, rsl, opt)
+	out, _ := db.MWQBatchContext(context.Background(), cts, q, rsl, opt)
+	return out
 }
 
 // TruncateSafeRegion clips a safe region to a feature-limit box (§V.B):
@@ -569,14 +577,16 @@ func ExpandSafeRegion(limits Rect) Region {
 // LostCustomers returns the members of rsl that would leave the reverse
 // skyline if q moved to qStar.
 func (db *DB) LostCustomers(qStar Point, rsl []Item) []Item {
-	return db.engine.LostCustomers(qStar, rsl)
+	lost, _ := db.LostCustomersContext(context.Background(), qStar, rsl)
+	return lost
 }
 
 // BuildApproxStore precomputes k-sampled dynamic skylines for the given
 // customers (the offline step of §VI.B.1). With Parallelism configured the
 // per-customer precomputation runs on the worker pool.
 func (db *DB) BuildApproxStore(customers []Item, k int) *ApproxStore {
-	return db.engine.BuildApproxStore(customers, k, 0)
+	store, _ := db.BuildApproxStoreContext(context.Background(), customers, k)
+	return store
 }
 
 // LoadApproxStore reads a store previously written with ApproxStore.Save.
@@ -589,27 +599,29 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 // pipeline of Dellis & Seeger. With Parallelism configured the per-candidate
 // verification runs on the worker pool; results are identical.
 func (db *DB) ReverseSkylineBBRS(q Point) []Item {
-	_, done := db.obsCtx(context.Background(), "rsl-bbrs")
-	defer done()
-	return db.engine.DB.ReverseSkylineBBRS(q)
+	out, _ := db.ReverseSkylineBBRSContext(context.Background(), q)
+	return out
 }
 
 // MWQApprox answers the why-not question using the approximate safe region
 // assembled from the store: much faster, never worse than MWP.
 func (db *DB) MWQApprox(ct Item, q Point, rsl []Item, store *ApproxStore, opt Options) MWQResult {
-	return db.engine.MWQApprox(ct, q, rsl, store, opt)
+	res, _ := db.MWQApproxContext(context.Background(), ct, q, rsl, store, opt)
+	return res
 }
 
 // ValidateWhyNotMove verifies an MWP candidate with a real window query
 // after an ε-nudge toward q (candidates are infima on the valid region's
 // boundary).
 func (db *DB) ValidateWhyNotMove(ct Item, q Point, cand Point, eps float64) bool {
-	return db.engine.ValidateWhyNotMove(ct, q, cand, eps)
+	ok, _ := db.ValidateWhyNotMoveContext(context.Background(), ct, q, cand, eps)
+	return ok
 }
 
 // ValidateQueryMove verifies an MQP candidate likewise.
 func (db *DB) ValidateQueryMove(ct Item, cand Point, eps float64) bool {
-	return db.engine.ValidateQueryMove(ct, cand, eps)
+	ok, _ := db.ValidateQueryMoveContext(context.Background(), ct, cand, eps)
+	return ok
 }
 
 // Engine exposes the underlying why-not engine for advanced use (custom
@@ -640,7 +652,9 @@ func (db *DB) CacheStats() CacheStats {
 // instead of running to completion. A context that is already cancelled at the
 // call boundary returns immediately with zero algorithmic work — no index
 // node is touched. Errors unwrap to context.Canceled or
-// context.DeadlineExceeded via errors.Is.
+// context.DeadlineExceeded via errors.Is. The XxxContext method is the one
+// body of each operation: the context-free method runs it under
+// context.Background(), with the same metrics, flight record and trace.
 
 // wrapCtxErr stamps query-stack errors with the public package and operation
 // name so a caller several layers up can tell which query timed out.
@@ -651,29 +665,16 @@ func wrapCtxErr(op string, err error) error {
 	return fmt.Errorf("repro: %s: %w", op, err)
 }
 
-// begin is the shared call-boundary guard: an already-expired context is
-// rejected before any work, and an active one is converted to a checker for
-// the internal layers.
-func begin(ctx context.Context, op string) (*cancel.Checker, error) {
-	if ctx == nil {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCtxErr(op, err)
-	}
-	return cancel.FromContext(ctx), nil
-}
-
 // DynamicSkylineContext is DynamicSkyline with deadline/cancellation support.
 func (db *DB) DynamicSkylineContext(ctx context.Context, c Point) ([]Item, error) {
 	const op = "dynamic skyline"
 	ctx, done := db.obsCtx(ctx, "dsl")
 	defer done()
-	chk, err := begin(ctx, op)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wrapCtxErr(op, err)
 	}
-	out, err := db.engine.DB.DynamicSkylineChecked(chk, c)
+	out, err := db.engine.DB.DynamicSkylineCtx(ctx, c)
 	return out, wrapCtxErr(op, err)
 }
 
@@ -682,11 +683,11 @@ func (db *DB) ReverseSkylineContext(ctx context.Context, customers []Item, q Poi
 	const op = "reverse skyline"
 	ctx, done := db.obsCtx(ctx, "rsl")
 	defer done()
-	chk, err := begin(ctx, op)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wrapCtxErr(op, err)
 	}
-	out, err := db.engine.DB.ReverseSkylineFilteredChecked(chk, customers, q)
+	out, err := db.engine.DB.ReverseSkylineFilteredCtx(ctx, customers, q)
 	return out, wrapCtxErr(op, err)
 }
 
@@ -694,11 +695,13 @@ func (db *DB) ReverseSkylineContext(ctx context.Context, customers []Item, q Poi
 // support.
 func (db *DB) IsReverseSkylineContext(ctx context.Context, c Item, q Point) (bool, error) {
 	const op = "reverse skyline membership"
-	chk, err := begin(ctx, op)
+	ctx, done := db.obsCtx(ctx, "rsl-member")
+	defer done()
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
-		return false, err
+		return false, wrapCtxErr(op, err)
 	}
-	ok, err := db.engine.DB.IsReverseSkylineChecked(chk, c, q)
+	ok, err := db.engine.DB.IsReverseSkylineCtx(ctx, c, q)
 	return ok, wrapCtxErr(op, err)
 }
 
@@ -708,11 +711,11 @@ func (db *DB) ReverseSkylineBBRSContext(ctx context.Context, q Point) ([]Item, e
 	const op = "reverse skyline (BBRS)"
 	ctx, done := db.obsCtx(ctx, "rsl-bbrs")
 	defer done()
-	chk, err := begin(ctx, op)
+	ctx, err := cancel.Enter(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wrapCtxErr(op, err)
 	}
-	out, err := db.engine.DB.ReverseSkylineBBRSChecked(chk, q)
+	out, err := db.engine.DB.ReverseSkylineBBRSCtx(ctx, q)
 	return out, wrapCtxErr(op, err)
 }
 
@@ -742,6 +745,8 @@ func (db *DB) MQPContext(ctx context.Context, ct Item, q Point, opt Options) (MQ
 
 // MQPTotalCostContext is MQPTotalCost with deadline/cancellation support.
 func (db *DB) MQPTotalCostContext(ctx context.Context, q, qStar Point, rsl []Item, sr Region, opt Options) (float64, error) {
+	ctx, done := db.obsCtx(ctx, "mqp-cost")
+	defer done()
 	cost, err := db.engine.MQPTotalCostCtx(ctx, q, qStar, rsl, sr, opt)
 	return cost, wrapCtxErr("MQP total cost", err)
 }
@@ -768,6 +773,8 @@ func (db *DB) ApproxSafeRegionContext(ctx context.Context, q Point, rsl []Item, 
 // AntiDominanceRegionContext is AntiDominanceRegion with
 // deadline/cancellation support.
 func (db *DB) AntiDominanceRegionContext(ctx context.Context, c Item) (Region, error) {
+	ctx, done := db.obsCtx(ctx, "antiddr")
+	defer done()
 	set, err := db.engine.AntiDDROfCtx(ctx, c)
 	return set, wrapCtxErr("anti-dominance region", err)
 }
@@ -806,6 +813,8 @@ func (db *DB) MWQBatchContext(ctx context.Context, cts []Item, q Point, rsl []It
 
 // LostCustomersContext is LostCustomers with deadline/cancellation support.
 func (db *DB) LostCustomersContext(ctx context.Context, qStar Point, rsl []Item) ([]Item, error) {
+	ctx, done := db.obsCtx(ctx, "lost-customers")
+	defer done()
 	out, err := db.engine.LostCustomersCtx(ctx, qStar, rsl)
 	return out, wrapCtxErr("lost customers", err)
 }
@@ -822,6 +831,8 @@ func (db *DB) BuildApproxStoreContext(ctx context.Context, customers []Item, k i
 // ValidateWhyNotMoveContext is ValidateWhyNotMove with deadline/cancellation
 // support.
 func (db *DB) ValidateWhyNotMoveContext(ctx context.Context, ct Item, q Point, cand Point, eps float64) (bool, error) {
+	ctx, done := db.obsCtx(ctx, "validate-mwp")
+	defer done()
 	ok, err := db.engine.ValidateWhyNotMoveCtx(ctx, ct, q, cand, eps)
 	return ok, wrapCtxErr("why-not move validation", err)
 }
@@ -829,6 +840,8 @@ func (db *DB) ValidateWhyNotMoveContext(ctx context.Context, ct Item, q Point, c
 // ValidateQueryMoveContext is ValidateQueryMove with deadline/cancellation
 // support.
 func (db *DB) ValidateQueryMoveContext(ctx context.Context, ct Item, cand Point, eps float64) (bool, error) {
+	ctx, done := db.obsCtx(ctx, "validate-mqp")
+	defer done()
 	ok, err := db.engine.ValidateQueryMoveCtx(ctx, ct, cand, eps)
 	return ok, wrapCtxErr("query move validation", err)
 }

@@ -15,6 +15,17 @@ import (
 // answer identically at; 1 is the sequential reference.
 func workerCounts() []int { return []int{1, 2, 4, runtime.GOMAXPROCS(0)} }
 
+// bg is the context of test calls that are not about cancellation.
+var bg = context.Background()
+
+// must unwraps the result of a ctx-form call under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // fig1 is the paper's running example (Fig. 1a): price in K$, mileage in Kmi.
 func fig1() []Item {
 	coords := [][2]float64{

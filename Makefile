@@ -161,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/whynot -run FuzzMWPMQP -fuzz FuzzMWPMQP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run FuzzDecodeRequests -fuzz FuzzDecodeRequests -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/region -run FuzzStaircaseCorners -fuzz FuzzStaircaseCorners -fuzztime $(FUZZTIME)
 
 # Crash smoke: the WAL kill-injection soak at short length — every log
 # write/fsync/rotate/snapshot boundary killed twice, recovery verified

@@ -52,8 +52,8 @@ const (
 	SiteCustomer = "rskyline.customer"
 	// SiteSafeRegion fires once per reverse-skyline member whose anti-DDR is
 	// intersected into the exact safe region (Algorithm 3's outer loop) and
-	// throughout the rectangle-set algebra each member triggers (staircase
-	// grid enumeration, pairwise intersection, pruning) — a single member's
+	// throughout the rectangle-set algebra each member triggers (anti-DDR
+	// corner construction, pairwise intersection, pruning) — a single member's
 	// region work can dwarf the whole outer loop, so those inner loops poll
 	// the same site.
 	SiteSafeRegion = "saferegion.customer"

@@ -32,8 +32,7 @@ func StaircaseCorners2D(tr []geom.Point, u geom.Point) []geom.Point {
 		corners = append(corners, sky[i].Max(sky[i+1]))
 	}
 	corners = append(corners, geom.NewPoint(u[0], sky[len(sky)-1][1]))
-	out, _ := maximalPoints(corners, nil)
-	return out
+	return maximalPoints(corners)
 }
 
 // StaircaseCornersGrid computes the same maximal corners for any
@@ -41,20 +40,15 @@ func StaircaseCorners2D(tr []geom.Point, u geom.Point) []geom.Point {
 // coordinates and the universe bound: every maximal corner has each
 // coordinate equal to some skyline point's coordinate or to the universe.
 // A candidate m is in the (closed) complement iff every skyline point s has
-// some dimension with m_i ≤ s_i. Exponential in d; intended for low
-// dimensions and as the test oracle for the 2-d fast path.
+// some dimension with m_i ≤ s_i. The corners come out in the grid's
+// enumeration order: ascending, with the last dimension most significant.
+// The grid has up to (k+1)^d points for k skyline points, so no query path
+// calls this: it is the test reference for StaircaseCorners2D and
+// localUpperBounds.
 func StaircaseCornersGrid(tr []geom.Point, u geom.Point) []geom.Point {
-	out, _ := staircaseCornersGrid(tr, u, nil)
-	return out
-}
-
-// staircaseCornersGrid is StaircaseCornersGrid with a cooperative
-// cancellation poll: the candidate grid is exponential in d, so the odometer
-// enumeration and the maximal-corner filter poll between iterations.
-func staircaseCornersGrid(tr []geom.Point, u geom.Point, poll func() error) ([]geom.Point, error) {
 	sky := minimalPoints(tr)
 	if len(sky) == 0 {
-		return []geom.Point{u.Clone()}, nil
+		return []geom.Point{u.Clone()}
 	}
 	d := len(u)
 	axes := make([][]float64, d)
@@ -71,9 +65,6 @@ func staircaseCornersGrid(tr []geom.Point, u geom.Point, poll func() error) ([]g
 	var valid []geom.Point
 	idx := make([]int, d)
 	for {
-		if err := pollErr(poll); err != nil {
-			return nil, err
-		}
 		m := make(geom.Point, d)
 		for i := range idx {
 			m[i] = axes[i][idx[i]]
@@ -108,7 +99,72 @@ func staircaseCornersGrid(tr []geom.Point, u geom.Point, poll func() error) ([]g
 			break
 		}
 	}
-	return maximalPoints(valid, poll)
+	return maximalPoints(valid)
+}
+
+// localUpperBounds computes the maximal corners for any dimensionality as
+// the local upper bounds of Klamroth, Lacour & Vanderpooten (EJOR 2015).
+// It starts from the single bound u. Each point z of tr cuts the box [0, v]
+// of every bound v with z < v in every dimension, and the part of that box
+// z leaves is covered by the d projections (z_j, v_−j). A projection is kept
+// only when no other bound covers it; bounds z does not cut stay maximal.
+// The bounds left after the last point are the corners, sorted into
+// StaircaseCornersGrid's order so that the rectangle lists built from them
+// do not depend on the construction. tr must lie in [0, u]; dominated and
+// duplicate points are allowed and leave the result unchanged. Each step is
+// polynomial in the number of bounds, so poll is called once per point.
+func localUpperBounds(tr []geom.Point, u geom.Point, poll func() error) ([]geom.Point, error) {
+	bounds := []geom.Point{u.Clone()}
+	var next, proj []geom.Point
+	for _, z := range tr {
+		if err := pollErr(poll); err != nil {
+			return nil, err
+		}
+		next, proj = next[:0], proj[:0]
+		for _, v := range bounds {
+			if !strictlyBelow(z, v) {
+				next = append(next, v)
+				continue
+			}
+			for j := range v {
+				p := v.Clone()
+				p[j] = z[j]
+				proj = append(proj, p)
+			}
+		}
+		kept := len(next)
+	projections:
+		for _, p := range maximalPoints(proj) {
+			for _, w := range next[:kept] {
+				if p.WeaklyDominates(w) {
+					continue projections
+				}
+			}
+			next = append(next, p)
+		}
+		bounds, next = next, bounds
+	}
+	sort.Slice(bounds, func(i, j int) bool {
+		a, b := bounds[i], bounds[j]
+		for k := len(a) - 1; k >= 0; k-- {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+	return bounds, nil
+}
+
+// strictlyBelow reports whether z < v in every dimension, i.e. whether the
+// dominance box of z cuts into the box [0, v].
+func strictlyBelow(z, v geom.Point) bool {
+	for i := range z {
+		if z[i] >= v[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // minimalPoints filters pts to those not strictly dominated by another
@@ -142,19 +198,12 @@ func minimalPoints(pts []geom.Point) []geom.Point {
 
 // maximalPoints filters pts to those not weakly dominated from above by
 // another point (m is dropped when some other m' ≥ m componentwise),
-// deduplicating equal points. The quadratic scan polls for cancellation when
-// poll is non-nil (grid enumeration can feed it millions of candidates).
-func maximalPoints(pts []geom.Point, poll func() error) ([]geom.Point, error) {
+// deduplicating equal points.
+func maximalPoints(pts []geom.Point) []geom.Point {
 	var out []geom.Point
 	for i, p := range pts {
-		if err := pollErr(poll); err != nil {
-			return nil, err
-		}
 		covered := false
 		for j, q := range pts {
-			if err := pollErr(poll); err != nil {
-				return nil, err
-			}
 			if i == j {
 				continue
 			}
@@ -171,7 +220,7 @@ func maximalPoints(pts []geom.Point, poll func() error) ([]geom.Point, error) {
 			out = append(out, p)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // AntiDDR builds the anti-dominance region of centre c as a union of
@@ -188,9 +237,10 @@ func AntiDDR(c geom.Point, dsl []geom.Point, universe geom.Rect) Set {
 	return out
 }
 
-// AntiDDRChecked is AntiDDR with a cooperative-cancellation poll threaded
-// into the grid staircase construction (exponential in d) and the final
-// prune. A nil poll restores the unpolled loops.
+// AntiDDRChecked is AntiDDR with a cooperative-cancellation poll. The
+// corners come from the Fig. 10 staircase at d = 2 and from
+// localUpperBounds at d ≥ 3, which polls once per DSL point; the final
+// prune polls too. A nil poll restores the unpolled loops.
 func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, poll func() error) (Set, error) {
 	u := universe.TransformMinMax(c).Hi
 	tr := make([]geom.Point, len(dsl))
@@ -202,7 +252,7 @@ func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, poll fun
 		corners = StaircaseCorners2D(tr, u)
 	} else {
 		var err error
-		corners, err = staircaseCornersGrid(tr, u, poll)
+		corners, err = localUpperBounds(tr, u, poll)
 		if err != nil {
 			return nil, err
 		}
@@ -256,6 +306,5 @@ func ApproxAntiDDRCorners(c geom.Point, sampled []geom.Point, u geom.Point, sort
 	last := tr[len(tr)-1].Clone()
 	last[sortDim] = u[sortDim]
 	corners = append(corners, last)
-	out, _ := maximalPoints(corners, nil)
-	return out
+	return maximalPoints(corners)
 }

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -154,9 +155,14 @@ func TestStaircase2DSimple(t *testing.T) {
 
 func TestStaircaseEmptySkyline(t *testing.T) {
 	u := geom.NewPoint(7, 9)
+	lub, err := localUpperBounds(nil, u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, corners := range [][]geom.Point{
 		StaircaseCorners2D(nil, u),
 		StaircaseCornersGrid(nil, u),
+		lub,
 	} {
 		if len(corners) != 1 || !corners[0].Equal(u) {
 			t.Fatalf("empty skyline corners = %v, want [%v]", corners, u)
@@ -283,6 +289,151 @@ func TestStaircaseGrid3D(t *testing.T) {
 	}
 }
 
+// randomCornerInput draws up to 8 transformed DSL points in [0, u] at
+// dimension d, u = (10, …, 10). On the integer grid (ints) coordinates take
+// the values 0..10, so ties are common and 10 lies on u's bound; continuous
+// draws also put a coordinate on u's bound now and then. A duplicate and a
+// dominated copy of a drawn point are appended at random, and no points at
+// all stand for an empty DSL.
+func randomCornerInput(rng *rand.Rand, d int, ints bool) ([]geom.Point, geom.Point) {
+	u := make(geom.Point, d)
+	for i := range u {
+		u[i] = 10
+	}
+	n := rng.Intn(9)
+	var tr []geom.Point
+	for len(tr) < n {
+		p := make(geom.Point, d)
+		for i := range p {
+			if ints {
+				p[i] = float64(rng.Intn(11))
+			} else {
+				p[i] = rng.Float64() * 10
+			}
+		}
+		if rng.Intn(4) == 0 {
+			i := rng.Intn(d)
+			p[i] = u[i]
+		}
+		tr = append(tr, p)
+	}
+	if n > 0 && rng.Intn(2) == 0 {
+		tr = append(tr, tr[rng.Intn(n)].Clone())
+	}
+	if n > 0 && rng.Intn(2) == 0 {
+		p := tr[rng.Intn(n)].Clone()
+		for i := range p {
+			step := rng.Float64()
+			if ints {
+				step = float64(rng.Intn(3))
+			}
+			p[i] = math.Min(u[i], p[i]+step)
+		}
+		tr = append(tr, p)
+	}
+	return tr, u
+}
+
+// sameCorners reports whether a and b hold equal points in the same order.
+func sameCorners(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCornerSet reports whether a and b hold the same points in any order
+// (the Fig. 10 staircase emits its corners sorted by dimension 0).
+func sameCornerSet(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, p := range a {
+		found := false
+		for _, q := range b {
+			if p.Equal(q) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// The local-upper-bound construction must reproduce the grid reference
+// exactly, order included, because the anti-DDR's rectangle list, the prune
+// order and Algorithm 4's corner order all follow the corner order. At
+// d = 2, where AntiDDR uses the Fig. 10 staircase, the corner sets agree.
+func TestLocalUpperBoundsMatchGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, d := range []int{2, 3, 4} {
+		for _, ints := range []bool{false, true} {
+			for trial := 0; trial < 300; trial++ {
+				tr, u := randomCornerInput(rng, d, ints)
+				got, err := localUpperBounds(tr, u, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grid := StaircaseCornersGrid(tr, u)
+				if !sameCorners(got, grid) {
+					t.Fatalf("d=%d ints=%v trial %d: local upper bounds %v, grid %v (points %v)", d, ints, trial, got, grid, tr)
+				}
+				if d == 2 {
+					if fig10 := StaircaseCorners2D(tr, u); !sameCornerSet(got, fig10) {
+						t.Fatalf("ints=%v trial %d: local upper bounds %v, Fig. 10 staircase %v (points %v)", ints, trial, got, fig10, tr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// At d ≥ 3 a poll that fails on its first call stops AntiDDRChecked, which
+// returns that error and no set. The corner construction itself polls once
+// per DSL point and stops at the first failing poll.
+func TestAntiDDRCheckedStopsAtFirstPoll(t *testing.T) {
+	stop := errors.New("stop")
+	calls := 0
+	c := geom.NewPoint(5, 5, 5)
+	dsl := []geom.Point{geom.NewPoint(1, 6, 5), geom.NewPoint(6, 2, 7), geom.NewPoint(4, 4, 1)}
+	universe := geom.NewRect(geom.NewPoint(0, 0, 0), geom.NewPoint(10, 10, 10))
+	set, err := AntiDDRChecked(c, dsl, universe, func() error {
+		calls++
+		return stop
+	})
+	if !errors.Is(err, stop) || set != nil || calls != 1 {
+		t.Fatalf("AntiDDRChecked = %v, %v after %d polls; want nil, %v after 1", set, err, calls, stop)
+	}
+	calls = 0
+	tr := transformAll(dsl, c)
+	corners, err := localUpperBounds(tr, universe.TransformMinMax(c).Hi, func() error {
+		calls++
+		if calls == len(tr) {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || corners != nil || calls != len(tr) {
+		t.Fatalf("localUpperBounds = %v, %v after %d polls; want nil, %v after %d", corners, err, calls, stop, len(tr))
+	}
+}
+
+func transformAll(pts []geom.Point, c geom.Point) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = p.Transform(c)
+	}
+	return out
+}
+
 // Paper §V.B worked example: the anti-DDR of c7 = (26, 70) over the Fig. 1
 // products (excluding c7's own record) is the region covered by the four
 // rectangles r1..r4 listed in the paper.
@@ -319,118 +470,6 @@ func TestAntiDDRPaperC7(t *testing.T) {
 	if !got.Contains(c7) {
 		t.Fatal("c7 must be inside its own anti-DDR")
 	}
-}
-
-// Membership property for AntiDDR against the raw definition: a point x is in
-// the anti-DDR of c iff no DSL point dynamically dominates x w.r.t. c
-// (closed-boundary tolerance).
-func TestAntiDDRMembershipProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		var products []geom.Point
-		for i := 0; i < 60; i++ {
-			products = append(products, geom.NewPoint(rng.Float64()*100, rng.Float64()*100))
-		}
-		c := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		universe := geom.MBR(products)
-		// Brute-force dynamic skyline of c.
-		var dsl []geom.Point
-		for i, p := range products {
-			dominated := false
-			for j, o := range products {
-				if i != j && geom.DynDominates(c, o, p) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				dsl = append(dsl, p)
-			}
-		}
-		add := AntiDDR(c, dsl, universe)
-		for probe := 0; probe < 200; probe++ {
-			x := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-			if !universe.Contains(x) {
-				continue
-			}
-			dominated := false
-			for _, s := range dsl {
-				if geom.DynDominates(c, s, x) {
-					dominated = true
-					break
-				}
-			}
-			in := add.Contains(x)
-			if !dominated && !in {
-				t.Fatalf("trial %d: undominated %v outside anti-DDR of %v", trial, x, c)
-			}
-			// dominated ∧ in can only happen on the closed boundary, which
-			// random probes hit with probability zero; treat as failure.
-			if dominated && in {
-				t.Fatalf("trial %d: dominated %v inside anti-DDR of %v", trial, x, c)
-			}
-		}
-	}
-}
-
-func TestApproxAntiDDRIsSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 20; trial++ {
-		var dsl []geom.Point
-		for i := 0; i < 12; i++ {
-			dsl = append(dsl, geom.NewPoint(rng.Float64()*50, rng.Float64()*50))
-		}
-		c := geom.NewPoint(50, 50)
-		universe := rect(0, 0, 100, 100)
-		exact := AntiDDR(c, dsl, universe)
-		// Sample 4 of the DSL points plus forced extremes, like §VI.B.1.
-		u := universe.TransformMinMax(c).Hi
-		sampled := samplePoints(dsl, c, 4)
-		corners := ApproxAntiDDRCorners(c, sampled, u, 0)
-		approx := AntiDDRFromCorners(c, corners)
-		// Subset check: approx ∩ exact must equal approx (by measure).
-		inter := approx.IntersectSet(exact)
-		if math.Abs(inter.Area()-approx.Area()) > 1e-6*(1+approx.Area()) {
-			t.Fatalf("trial %d: approx anti-DDR not a subset (approx %v, inter %v)",
-				trial, approx.Area(), inter.Area())
-		}
-	}
-}
-
-// samplePoints mimics the k-sampling: sort the transformed skyline of dsl by
-// dim 0, keep every ⌈n/k⌉-th plus the last.
-func samplePoints(dsl []geom.Point, c geom.Point, k int) []geom.Point {
-	sky := minimalPoints(transformAll(dsl, c))
-	// Back-map: sampling operates on original points; reuse order of sky.
-	// For the test it is enough to pick original points whose transforms are
-	// in sky, in sorted order.
-	var origs []geom.Point
-	for _, s := range sky {
-		for _, p := range dsl {
-			if p.Transform(c).Equal(s) {
-				origs = append(origs, p)
-				break
-			}
-		}
-	}
-	step := (len(origs) + k - 1) / k
-	if step < 1 {
-		step = 1
-	}
-	var out []geom.Point
-	for i := 0; i < len(origs); i += step {
-		out = append(out, origs[i])
-	}
-	out = append(out, origs[len(origs)-1])
-	return out
-}
-
-func transformAll(pts []geom.Point, c geom.Point) []geom.Point {
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = p.Transform(c)
-	}
-	return out
 }
 
 func TestEquivalent(t *testing.T) {

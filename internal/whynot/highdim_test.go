@@ -10,7 +10,7 @@ import (
 )
 
 // rand3D builds a small 3-d product set: the safe-region machinery switches
-// from the 2-d staircase to the generic grid-corner construction there.
+// from the 2-d staircase to the local-upper-bound corner construction there.
 func rand3D(n int, seed int64) []Item {
 	rng := rand.New(rand.NewSource(seed))
 	items := make([]Item, n)

@@ -150,8 +150,8 @@ func (e *Engine) antiDDRCompute(ctx context.Context, c Item, universe geom.Rect,
 }
 
 // pollAt adapts ctx's checker to the poll-callback form the region
-// package's combinatorial loops accept (rectangle-set intersection and grid
-// staircase construction can dwarf any per-customer checkpoint). A context
+// package's combinatorial loops accept (rectangle-set intersection and
+// anti-DDR construction can dwarf any per-customer checkpoint). A context
 // with nothing to poll yields a nil poll, so those loops stay zero-overhead.
 func pollAt(ctx context.Context, site string) func() error {
 	_, chk := cancel.Bind(ctx)

@@ -82,10 +82,20 @@ vet-wal: vet
 # context: from the facade down to the reverse-skyline layer no function
 # takes a *cancel.Checker, *obs.Trace or *explain.Builder parameter (on the
 # signature line, or on its own line of a wrapped parameter list), and no
-# exported *Checked twin exists. Tests and the cmd/ front-ends are exempt.
+# exported *Checked twin exists. Each phase has one hook: from the facade
+# down to the R-tree a phase opens only through explain.Phase (one trace
+# span, plan node and pprof label under one name), so those layers never
+# start a trace span, look up the plan builder or set pprof labels
+# themselves (pprof.Do, which restores the caller's labels, stays allowed).
+# Each query has one tally: the flight recorder, the plan builder and the
+# server read a query's counts from it, never from deltas of the
+# process-global counters. Tests and the cmd/ front-ends are exempt.
 SURFACE_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/rskyline/*.go internal/whynot/*.go internal/engine/*.go)) repro.go
 CARRIER_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/rskyline/*.go internal/whynot/*.go internal/exec/*.go)) repro.go
 CARRIER_TYPES = \*(cancel\.Checker|obs\.Trace|explain\.Builder)
+PHASE_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/whynot/*.go internal/engine/*.go internal/rskyline/*.go \
+	internal/skyline/*.go internal/rtree/*.go internal/exec/*.go)) repro.go
+TALLY_LINT_FILES = $(filter-out %_test.go,$(wildcard internal/obs/flight/*.go internal/obs/explain/*.go internal/server/*.go))
 vet-surface: vet
 	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Parallel(Ctx|Context)?\(' $(SURFACE_LINT_FILES) || true); \
 	if [ -n "$$bad" ]; then \
@@ -114,6 +124,16 @@ vet-surface: vet
 		echo "vet-surface: exported *Checked twin (the ctx-first method is the one body):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -nE '\b(StartSpan|AddSpan)\(|explain\.From\(|pprof\.(SetGoroutineLabels|WithLabels)\(' $(PHASE_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: a phase hook besides explain.Phase (it opens the trace span, plan node and pprof label in one call):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE '\bobs\.Cost\(\)' $(TALLY_LINT_FILES) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet-surface: a query's counts taken from process-global deltas (read the query's tally):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "vet-surface: OK"
 
 # -shuffle=on randomises test (and subtest-source) execution order every
@@ -127,12 +147,13 @@ race:
 
 # Targeted race gate for the executor substrate, the differential oracle
 # suite, the reverse-skyline and skyline layers (index traversals under the
-# tree read lock racing Insert/Delete), and the serving layer (admission
-# control, circuit breakers, hot-swap snapshots, chaos harness) — the
-# packages whose whole point is concurrency correctness. Redundant with `race` but kept separate so the critical slice
-# has its own fast signal.
+# tree read lock racing Insert/Delete), the observability core (per-query
+# tallies take concurrent flushes from every worker), and the serving layer
+# (admission control, circuit breakers, hot-swap snapshots, chaos harness) —
+# the packages whose whole point is concurrency correctness. Redundant with
+# `race` but kept separate so the critical slice has its own fast signal.
 race-core:
-	$(GO) test -race -short ./internal/exec/... ./internal/cancel/... ./internal/whynot/... ./internal/engine/... ./internal/oracle/... ./internal/rskyline/... ./internal/skyline/... ./internal/server/... ./internal/wal/... ./internal/sim/...
+	$(GO) test -race -short ./internal/exec/... ./internal/cancel/... ./internal/whynot/... ./internal/engine/... ./internal/oracle/... ./internal/rskyline/... ./internal/skyline/... ./internal/obs/... ./internal/server/... ./internal/wal/... ./internal/sim/...
 
 # The why-not benchmark (benchmark/, run by benchmark/run.sh) is a module of
 # its own, so `go build ./...` and `go test ./...` above skip it. Vetting and

@@ -289,14 +289,14 @@ func run(args []string, out io.Writer) (retErr error) {
 		}()
 	}
 
-	// baseCtx carries the per-query trace (no deadline: the mwq ladder
-	// budgets each rung itself); ctx adds the -timeout bound for every
-	// non-ladder query.
+	// baseCtx carries the per-query trace and the record's counters (no
+	// deadline: the mwq ladder budgets each rung itself); ctx adds the
+	// -timeout bound for every non-ladder query.
 	baseCtx := context.Background()
 	var tr *repro.QueryTrace
 	if act != nil {
+		baseCtx = act.Context(baseCtx)
 		tr = act.Trace()
-		baseCtx = obs.WithTrace(baseCtx, tr)
 	} else if observe {
 		baseCtx, tr = db.StartTrace(baseCtx, cmd)
 	}

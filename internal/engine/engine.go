@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/explain"
 	"repro/internal/whynot"
 )
 
@@ -248,7 +249,6 @@ func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []wh
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tr := obs.TraceFrom(ctx)
 	var errs []error
 
 	var res whynot.MWQResult
@@ -265,7 +265,7 @@ func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []wh
 	if !r.Cfg.Degrade || ctx.Err() != nil {
 		return Answer{}, r.ladderExhausted(ctx, err)
 	}
-	r.degraded(tr, "exact", err)
+	r.degraded(ctx, "exact", err)
 
 	if r.Cfg.Store != nil {
 		err = r.gatedRung(ctx, RungApprox, "approximate MWQ", func(rctx context.Context) error {
@@ -280,7 +280,7 @@ func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []wh
 		if ctx.Err() != nil {
 			return Answer{}, r.ladderExhausted(ctx, ladderError(errs))
 		}
-		r.degraded(tr, "approx", err)
+		r.degraded(ctx, "approx", err)
 	}
 
 	var mres whynot.MWPResult
@@ -296,22 +296,22 @@ func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []wh
 	return Answer{}, r.ladderExhausted(ctx, ladderError(errs))
 }
 
-// degraded records one fall-through to a cheaper rung: the process-wide
-// degradation counter, the Runner's by-reason counter, and a trace event.
-func (r *Runner) degraded(tr *obs.Trace, rung string, err error) {
+// degraded records one fall-through to a cheaper rung: the degradation
+// counter, the Runner's by-reason counter, and a trace event.
+func (r *Runner) degraded(ctx context.Context, rung string, err error) {
 	reason := degradeReason(err)
-	obs.AddDegradations(1)
+	obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{Degradations: 1}})
 	if m := r.Cfg.Metrics; m != nil {
 		m.Degradations.With(reason).Inc()
 	}
-	tr.Eventf("degrade", "%s rung failed (%s), falling through", rung, reason)
+	obs.TraceFrom(ctx).Eventf("degrade", "%s rung failed (%s), falling through", rung, reason)
 }
 
 // ladderExhausted accounts for a query that returns no answer at all; a
 // caller-cancelled context counts toward the cancellation counter.
 func (r *Runner) ladderExhausted(ctx context.Context, err error) error {
 	if ctx.Err() != nil {
-		obs.AddCancellations(1)
+		obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{Cancellations: 1}})
 	}
 	return err
 }
@@ -348,10 +348,10 @@ func (r *Runner) Run(ctx context.Context, op string, fn func(context.Context) er
 
 // runRung gives fn a fresh timeout budget and converts any failure — error
 // or panic — into a *QueryError. rung names the execution for metrics and
-// the per-query trace span ("rung.<rung>").
+// its phase ("rung.<rung>": a trace span, a plan node, a pprof label).
 func (r *Runner) runRung(ctx context.Context, op, rung string, fn func(context.Context) error) (err error) {
 	done := r.Cfg.Metrics.rungAttempt(rung)
-	endSpan := obs.TraceFrom(ctx).StartSpan("rung." + rung)
+	ctx, sp := explain.Phase(ctx, "rung."+rung, explain.RuleNone)
 	rctx := ctx
 	if r.Cfg.Timeout > 0 {
 		var cancelBudget context.CancelFunc
@@ -367,12 +367,13 @@ func (r *Runner) runRung(ctx context.Context, op, rung string, fn func(context.C
 				Stack: debug.Stack(),
 			}
 		}
-		endSpan()
+		sp.End()
 		done(err)
 	}()
-	// pprof.Do labels this goroutine (and, via the context, the exec workers
-	// it fans out to) for the duration of the rung, so CPU profiles from the
-	// DebugMux segment by operation and ladder rung.
+	// pprof.Do adds the op and rung labels to the phase label for the
+	// duration of the rung (and, via the context, for the exec workers it
+	// fans out to), so CPU profiles from the DebugMux segment by operation
+	// and ladder rung; nested phases replace the phase label only.
 	var e error
 	pprof.Do(rctx, pprof.Labels("op", op, "rung", rung), func(lctx context.Context) {
 		e = fn(lctx)

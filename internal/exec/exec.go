@@ -101,11 +101,12 @@ func ForEach(ctx context.Context, n, workers int, site string, fn func(ctx conte
 		pool.wg.Add(1)
 		go func() {
 			defer pool.wg.Done()
-			// pprof goroutine labels do not cross `go`: re-apply the parent's
-			// label set (op/rung from the engine ladder) plus this fan-out's
-			// site as the phase, so worker CPU shows up attributed in profiles
-			// rather than as anonymous pool goroutines.
-			pprof.Do(ctx, pprof.Labels("phase", site), func(ctx context.Context) {
+			// pprof goroutine labels do not cross `go`: re-apply the caller's
+			// label set (the engine's op and rung, the phase) plus this
+			// fan-out's checkpoint site under its own key, so worker CPU shows
+			// up attributed in profiles — a phase's workers under the caller's
+			// phase — rather than as anonymous pool goroutines.
+			pprof.Do(ctx, pprof.Labels("site", site), func(ctx context.Context) {
 				// One checker per goroutine: Checker has no atomics on its hot
 				// path and must not be shared.
 				ctx, chk := cancel.Fork(ctx)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,6 +158,33 @@ func TestForEachCheckedForwardsContext(t *testing.T) {
 	})
 	if err != nil || chk.Visits() != 10 {
 		t.Fatalf("fan-out: err=%v caller visits=%d, want nil and still 10", err, chk.Visits())
+	}
+}
+
+// TestForEachWorkersKeepCallerLabels: a job sees the caller's pprof phase
+// label at every worker count — pool workers add their checkpoint site
+// under its own key instead of overwriting the phase.
+func TestForEachWorkersKeepCallerLabels(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		pprof.Do(context.Background(), pprof.Labels("phase", "saferegion.exact"), func(ctx context.Context) {
+			var mu sync.Mutex
+			var phases []string
+			err := ForEach(ctx, 8, workers, "saferegion.customer", func(ctx context.Context, _ int) error {
+				phase, _ := pprof.Label(ctx, "phase")
+				mu.Lock()
+				phases = append(phases, phase)
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range phases {
+				if p != "saferegion.exact" {
+					t.Fatalf("workers=%d: a job saw phase %q, want the caller's saferegion.exact", workers, p)
+				}
+			}
+		})
 	}
 }
 

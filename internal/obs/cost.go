@@ -1,108 +1,159 @@
 package obs
 
-import "sync/atomic"
-
-// Process-global cost counters: the paper's efficiency metrics (§VII measures
-// R-tree node accesses, dominance tests and per-phase runtimes; node accesses
-// live on each tree, the rest here). They are always on — the algorithm
-// layers batch counts locally and flush one atomic add per operation, so the
-// sequential golden path pays a handful of uncontended atomics per query —
-// and process-global by design: a registry reads them through CounterFunc,
-// and per-query attribution is done by snapshot deltas (Cost before/after),
-// which is exact for single-threaded measurement and an aggregate under
-// concurrency. Multiple DBs in one process share them.
-var (
-	costDominanceTests  atomic.Uint64
-	costDSLComputations atomic.Uint64
-	costWindowQueries   atomic.Uint64
-	costSafeRegionVerts atomic.Uint64
-	costCandidateEvals  atomic.Uint64
-	costCacheStaleOnArr atomic.Uint64
-	costDegradations    atomic.Uint64
-	costCancellations   atomic.Uint64
-	costPrunedEntries   atomic.Uint64
+import (
+	"context"
+	"sync"
+	"sync/atomic"
 )
 
-// AddDominanceTests records n point-point dominance evaluations (DynDominates
-// and transformed-space Dominates calls on concrete points; point-rectangle
-// prune tests are deliberately excluded so the count matches the paper's
-// "dominance tests" and a brute-force oracle can reproduce it).
-func AddDominanceTests(n int) {
-	if n > 0 {
-		costDominanceTests.Add(uint64(n))
+// Cost counters: the paper's efficiency metrics (§VII measures R-tree node
+// accesses, dominance tests and per-phase runtimes). They are always on. An
+// operation call counts into a local Counts — the R-tree and skyline loops
+// take a *Counts and never a context — and its ctx-carrying caller flushes
+// that value once (Flush). A flush adds to two places:
+//
+//   - the process-global counters below, which a registry reads through
+//     CounterFunc and Cost snapshots (node accesses are totalled per tree,
+//     rtree.Tree.Accesses, added by each traversal when it returns);
+//   - every Tally on the context's chain: the query's own counters, opened
+//     where a query enters (a flight record, a plan builder) and by every
+//     plan node. A tally receives only the flushes made under its context,
+//     so what a flight record or plan node reports is that query's work
+//     alone while other queries run.
+//
+// Multiple DBs in one process share the global counters.
+var global [len(costMetrics)]atomic.Uint64
+
+// costMetrics names the global counters for a registry, in CostSnapshot's
+// field order (fields).
+var costMetrics = [...]struct{ name, help string }{
+	{"dominance_tests_total", "point-point dominance evaluations (the paper's dominance-test cost metric)"},
+	{"dsl_computations_total", "full dynamic-skyline computations (cache hits excluded)"},
+	{"window_queries_total", "window queries issued (full, existence and frontier)"},
+	{"saferegion_vertices_total", "safe-region rectangle corners enumerated by Algorithm 4"},
+	{"candidate_evaluations_total", "candidate evaluations (case-C2 corners, each a full MWP)"},
+	{"cache_stale_on_arrival_total", "cache hits invalidated by a racing mutation (generation mismatch)"},
+	{"degradation_events_total", "ladder degradations (a rung failed, a cheaper rung was attempted)"},
+	{"query_cancellations_total", "queries aborted by deadline or cancellation"},
+	{"pruned_entries_total", "candidates discarded by algorithm-level pruning rules before exact verification"},
+}
+
+// MaxLevels bounds the per-level node-access breakdown. An R*-tree with
+// fanout ≥ 8 holds >10^14 items at 16 levels, so the fold-into-top-slot case
+// is theoretical.
+const MaxLevels = 16
+
+// Counts is one batch of cost counts: the paper's counters (CostSnapshot)
+// plus the R-tree access breakdown and the cache outcomes only tallies keep.
+// The zero value is empty; layers count into it with plain increments and
+// hand it to Flush once per operation call.
+type Counts struct {
+	CostSnapshot
+	// NodeAccesses and LeafScans count R-tree node reads, LevelAccesses splits
+	// them by level (index 0 = leaves; deeper levels fold into the top slot),
+	// and TreePruned counts subtrees and entries a traversal's prune hook
+	// skipped — page reads the branch-and-bound avoided.
+	NodeAccesses  uint64
+	LeafScans     uint64
+	LevelAccesses [MaxLevels]uint64
+	TreePruned    uint64
+	// CacheHits and CacheMisses count DSL and anti-DDR cache lookups with
+	// exec.CacheStats' definitions: a found entry is a hit even when its
+	// generation check then rejects it (also counted as CacheStale).
+	CacheHits   uint64
+	CacheMisses uint64
+}
+
+// Visit counts one R-tree node read at the given level (0 = leaves).
+func (c *Counts) Visit(level int) {
+	c.NodeAccesses++
+	if level == 0 {
+		c.LeafScans++
+	}
+	c.LevelAccesses[min(level, MaxLevels-1)]++
+}
+
+// Flush adds c to the process-global counters and to every tally on ctx's
+// chain. Call it once per operation call, with everything that call counted.
+func Flush(ctx context.Context, c *Counts) {
+	for i, n := range c.fields() {
+		if *n != 0 {
+			global[i].Add(*n)
+		}
+	}
+	for t := TallyFrom(ctx); t != nil; t = t.parent {
+		t.add(c)
 	}
 }
 
-// AddDSLComputations records n full dynamic-skyline computations (cache hits
-// do not count — the gap between window queries issued and DSLs computed is
-// the cache's earning).
-func AddDSLComputations(n int) {
-	if n > 0 {
-		costDSLComputations.Add(uint64(n))
-	}
+// Tally is one query's (or one plan node's) counter set. Flushes made under
+// a context carrying it add to it and to its parent chain, from any number
+// of goroutines; Counts reads it at any time. A mutex suffices: only the
+// query's own workers ever flush into its tallies. A nil *Tally reads as
+// zero.
+type Tally struct {
+	parent *Tally
+	mu     sync.Mutex
+	counts Counts
 }
 
-// AddWindowQueries records n window queries (full, existence or frontier).
-func AddWindowQueries(n int) {
-	if n > 0 {
-		costWindowQueries.Add(uint64(n))
+// NewTally opens a tally whose flushes also reach parent (nil for none).
+func NewTally(parent *Tally) *Tally { return &Tally{parent: parent} }
+
+func (t *Tally) add(c *Counts) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, sf := &t.counts, t.counts.fields()
+	for i, n := range c.fields() {
+		*sf[i] += *n
 	}
+	s.NodeAccesses += c.NodeAccesses
+	s.LeafScans += c.LeafScans
+	for i, n := range c.LevelAccesses {
+		s.LevelAccesses[i] += n
+	}
+	s.TreePruned += c.TreePruned
+	s.CacheHits += c.CacheHits
+	s.CacheMisses += c.CacheMisses
 }
 
-// AddSafeRegionVertices records n safe-region rectangle corners enumerated
-// (Algorithm 4's candidate q* source).
-func AddSafeRegionVertices(n int) {
-	if n > 0 {
-		costSafeRegionVerts.Add(uint64(n))
+// Counts returns what the tally has received so far.
+func (t *Tally) Counts() Counts {
+	if t == nil {
+		return Counts{}
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts
 }
 
-// AddCandidateEvaluations records n candidate evaluations (each case-C2
-// corner evaluation runs a full MWP).
-func AddCandidateEvaluations(n int) {
-	if n > 0 {
-		costCandidateEvals.Add(uint64(n))
+type tallyKey struct{}
+
+// WithTally returns a context whose flushes reach t (and t's parents).
+func WithTally(ctx context.Context, t *Tally) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	if t == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, tallyKey{}, t)
 }
 
-// AddCacheStale records n stale-on-arrival cache hits (entry found but
-// generation-invalidated, so it was recomputed).
-func AddCacheStale(n int) {
-	if n > 0 {
-		costCacheStaleOnArr.Add(uint64(n))
+// TallyFrom returns the innermost tally carried by ctx, or nil. Layers look
+// it up once per operation call, in Flush.
+func TallyFrom(ctx context.Context) *Tally {
+	if ctx == nil {
+		return nil
 	}
+	t, _ := ctx.Value(tallyKey{}).(*Tally)
+	return t
 }
 
-// AddDegradations records n degradation events (a ladder rung failed and a
-// cheaper rung was attempted).
-func AddDegradations(n int) {
-	if n > 0 {
-		costDegradations.Add(uint64(n))
-	}
-}
-
-// AddCancellations records n queries aborted by deadline or cancellation.
-func AddCancellations(n int) {
-	if n > 0 {
-		costCancellations.Add(uint64(n))
-	}
-}
-
-// AddPruned records n candidates discarded by an algorithm-level pruning rule
-// (global dominance, a transformed-box frontier prune, a skyline discard)
-// before any exact verification ran on them. R-tree subtree prunes are counted
-// per tree (rtree.Tree.Pruned) because they stand for avoided page reads, not
-// avoided candidates; this counter is the numerator of the per-phase prune
-// ratios the explain plan reports.
-func AddPruned(n int) {
-	if n > 0 {
-		costPrunedEntries.Add(uint64(n))
-	}
-}
-
-// CostSnapshot is a point-in-time copy of the process-global cost counters.
-// Node accesses are per-tree (rtree.Tree.Accesses) and are merged in by the
-// repro layer's snapshot.
+// CostSnapshot is a point-in-time copy of the paper's cost counters: of the
+// process-global ones (Cost) or of one tally (Tally.Counts). Node accesses
+// are per tree (rtree.Tree.Accesses) and are merged in by the repro layer's
+// snapshot.
 type CostSnapshot struct {
 	DominanceTests       uint64 `json:"dominance_tests"`
 	DSLComputations      uint64 `json:"dsl_computations"`
@@ -115,35 +166,30 @@ type CostSnapshot struct {
 	PrunedEntries        uint64 `json:"pruned_entries"`
 }
 
+// fields lists s's counters in field order, the order of costMetrics.
+func (s *CostSnapshot) fields() [len(costMetrics)]*uint64 {
+	return [...]*uint64{&s.DominanceTests, &s.DSLComputations, &s.WindowQueries,
+		&s.SafeRegionVertices, &s.CandidateEvaluations, &s.CacheStale,
+		&s.Degradations, &s.Cancellations, &s.PrunedEntries}
+}
+
 // Cost reads the current global cost counters.
 func Cost() CostSnapshot {
-	return CostSnapshot{
-		DominanceTests:       costDominanceTests.Load(),
-		DSLComputations:      costDSLComputations.Load(),
-		WindowQueries:        costWindowQueries.Load(),
-		SafeRegionVertices:   costSafeRegionVerts.Load(),
-		CandidateEvaluations: costCandidateEvals.Load(),
-		CacheStale:           costCacheStaleOnArr.Load(),
-		Degradations:         costDegradations.Load(),
-		Cancellations:        costCancellations.Load(),
-		PrunedEntries:        costPrunedEntries.Load(),
+	var s CostSnapshot
+	for i, n := range s.fields() {
+		*n = global[i].Load()
 	}
+	return s
 }
 
 // Sub returns the per-field difference s − o (the delta of one measured
-// query or workload, with o the snapshot taken before it).
+// workload, with o the snapshot taken before it).
 func (s CostSnapshot) Sub(o CostSnapshot) CostSnapshot {
-	return CostSnapshot{
-		DominanceTests:       s.DominanceTests - o.DominanceTests,
-		DSLComputations:      s.DSLComputations - o.DSLComputations,
-		WindowQueries:        s.WindowQueries - o.WindowQueries,
-		SafeRegionVertices:   s.SafeRegionVertices - o.SafeRegionVertices,
-		CandidateEvaluations: s.CandidateEvaluations - o.CandidateEvaluations,
-		CacheStale:           s.CacheStale - o.CacheStale,
-		Degradations:         s.Degradations - o.Degradations,
-		Cancellations:        s.Cancellations - o.Cancellations,
-		PrunedEntries:        s.PrunedEntries - o.PrunedEntries,
+	of := o.fields()
+	for i, n := range s.fields() {
+		*n -= *of[i]
 	}
+	return s
 }
 
 // RegisterCost exposes the global cost counters on a registry as read-through
@@ -152,31 +198,7 @@ func RegisterCost(r *Registry) {
 	if r == nil {
 		return
 	}
-	r.CounterFunc("dominance_tests_total",
-		"point-point dominance evaluations (the paper's dominance-test cost metric)",
-		costDominanceTests.Load)
-	r.CounterFunc("dsl_computations_total",
-		"full dynamic-skyline computations (cache hits excluded)",
-		costDSLComputations.Load)
-	r.CounterFunc("window_queries_total",
-		"window queries issued (full, existence and frontier)",
-		costWindowQueries.Load)
-	r.CounterFunc("saferegion_vertices_total",
-		"safe-region rectangle corners enumerated by Algorithm 4",
-		costSafeRegionVerts.Load)
-	r.CounterFunc("candidate_evaluations_total",
-		"candidate evaluations (case-C2 corners, each a full MWP)",
-		costCandidateEvals.Load)
-	r.CounterFunc("cache_stale_on_arrival_total",
-		"cache hits invalidated by a racing mutation (generation mismatch)",
-		costCacheStaleOnArr.Load)
-	r.CounterFunc("degradation_events_total",
-		"ladder degradations (a rung failed, a cheaper rung was attempted)",
-		costDegradations.Load)
-	r.CounterFunc("query_cancellations_total",
-		"queries aborted by deadline or cancellation",
-		costCancellations.Load)
-	r.CounterFunc("pruned_entries_total",
-		"candidates discarded by algorithm-level pruning rules before exact verification",
-		costPrunedEntries.Load)
+	for i, m := range costMetrics {
+		r.CounterFunc(m.name, m.help, global[i].Load)
+	}
 }

@@ -18,26 +18,20 @@ import (
 // Rule indices into the model's calibration table.
 const (
 	ruleIdxDefault = iota
-	ruleIdxGlobalDominance
 	ruleIdxDSLWindow
 	ruleIdxMidpoint
 	ruleIdxSafeRegion
-	ruleIdxMindist
 	numRules
 )
 
 func ruleIndex(rule string) int {
 	switch rule {
-	case RuleGlobalDominance:
-		return ruleIdxGlobalDominance
 	case RuleDSLWindow:
 		return ruleIdxDSLWindow
 	case RuleMidpoint:
 		return ruleIdxMidpoint
 	case RuleSafeRegion:
 		return ruleIdxSafeRegion
-	case RuleMindist:
-		return ruleIdxMindist
 	default:
 		return ruleIdxDefault
 	}
@@ -46,22 +40,17 @@ func ruleIndex(rule string) int {
 // seedNSPerUnit is the uncalibrated price of one work unit per rule,
 // following the paper's per-phase cost accounting:
 //
-//   - global dominance: one transformed dominance test per candidate pair —
-//     a handful of float compares;
 //   - DSL window/frontier: a guided R-tree descent per probe, O(height) page
 //     reads each, plus the transformed-box dominance tests at every node;
 //   - midpoint generation: per frontier point, binding-constraint solving
 //     and canonical candidate dedup;
 //   - safe region: per customer, a full dynamic skyline plus the anti-DDR
-//     rectangle-set intersection fold (the Algorithm 3 dominant cost);
-//   - BBRS mindist: one heap pop + mindist evaluation per node access.
+//     rectangle-set intersection fold (the Algorithm 3 dominant cost).
 var seedNSPerUnit = [numRules]float64{
-	ruleIdxDefault:         500,
-	ruleIdxGlobalDominance: 60,
-	ruleIdxDSLWindow:       2500,
-	ruleIdxMidpoint:        1200,
-	ruleIdxSafeRegion:      4000,
-	ruleIdxMindist:         300,
+	ruleIdxDefault:    500,
+	ruleIdxDSLWindow:  2500,
+	ruleIdxMidpoint:   1200,
+	ruleIdxSafeRegion: 4000,
 }
 
 // ewmaWeight is the calibration smoothing factor: new = (1-w)·old + w·obs.
@@ -118,12 +107,10 @@ func (m *Model) Calibration() map[string]float64 {
 	}
 	out := make(map[string]float64, numRules)
 	for rule, idx := range map[string]int{
-		"default":           ruleIdxDefault,
-		RuleGlobalDominance: ruleIdxGlobalDominance,
-		RuleDSLWindow:       ruleIdxDSLWindow,
-		RuleMidpoint:        ruleIdxMidpoint,
-		RuleSafeRegion:      ruleIdxSafeRegion,
-		RuleMindist:         ruleIdxMindist,
+		"default":      ruleIdxDefault,
+		RuleDSLWindow:  ruleIdxDSLWindow,
+		RuleMidpoint:   ruleIdxMidpoint,
+		RuleSafeRegion: ruleIdxSafeRegion,
 	} {
 		out[rule] = math.Float64frombits(m.nsPerUnit[idx].Load())
 	}

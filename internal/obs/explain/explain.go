@@ -6,39 +6,33 @@
 // counters) and the span timeline (obs.Trace): those say *that* a query was
 // slow, the plan says *which phase failed to prune*.
 //
+// Phase is the one instrumentation hook of a query phase. A single call
+// opens the phase as a span on the context's obs.Trace, as a node of the
+// plan tree when a Builder rides the context, and as a pprof "phase" label,
+// all under one name, so each phase appears once, and the same way, in
+// traces, plans and CPU profiles. A plan node reads its counters from its
+// own obs.Tally, which the phase puts on the context: every flush made
+// inside the phase, on any worker, lands in it and in the query's tally
+// above it, so a node's counts are its query's work alone however many
+// other queries run.
+//
 // The package follows the internal/obs design rules: a nil *Builder (explain
-// disabled) reduces every hook to a nil check with zero allocations, carried
-// through context like obs.Trace; timestamps come from obs.Now (the vet-obs
-// lint bans raw time.Now here); per-node counter attribution uses snapshot
-// deltas of the process-global cost counters and the per-tree access
-// counters — exact for a serial query, an aggregate under concurrency (same
-// contract as the flight recorder's cost deltas).
+// disabled) reduces every plan hook to a nil check with zero allocations,
+// carried through context like obs.Trace; timestamps come from obs.Now (the
+// vet-obs lint bans raw time.Now here).
 package explain
 
 import (
 	"context"
+	"runtime/pprof"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// TreeStats is the slice of the R-tree's access accounting a Builder
-// snapshots around each plan node (implemented by *rtree.Tree). Defined here
-// so the package depends only on internal/obs.
-type TreeStats interface {
-	Accesses() int
-	LeafScans() int
-	LevelAccesses() []int64
-	Pruned() int
-}
-
-// Pruning rules a plan node can attribute its work to — the paper's four
+// Pruning rules a plan node can attribute its work to — the paper's
 // candidate-elimination mechanisms plus a catch-all.
 const (
-	// RuleGlobalDominance: a globally dominated customer can never include q
-	// in its dynamic skyline, so it is discarded before any window query
-	// (Lemma: global skyline filtering in the BBRS pipeline).
-	RuleGlobalDominance = "global-dominance"
 	// RuleDSLWindow: the dynamic-skyline window/frontier query — the
 	// transformed-box dominance prune inside the guided R-tree descent.
 	RuleDSLWindow = "dsl-window"
@@ -48,16 +42,13 @@ const (
 	// RuleSafeRegion: safe-region containment (Algorithm 3/4) — anti-DDR
 	// intersection folding and corner enumeration.
 	RuleSafeRegion = "safe-region"
-	// RuleMindist: BBRS best-first mindist ordering with dominance pruning
-	// of heap entries.
-	RuleMindist = "bbrs-mindist"
 	// RuleNone marks a structural node with no pruning of its own.
 	RuleNone = ""
 )
 
 // Node is one profiled phase in a plan tree. Candidate counts are recorded
-// explicitly by the instrumented layer (SetIn/SetOut); everything else is a
-// snapshot delta taken between Start and End.
+// explicitly by the instrumented layer (SetIn/SetOut); the counters are the
+// node's own tally, read when it ends.
 type Node struct {
 	Name string `json:"name"`
 	Rule string `json:"rule,omitempty"`
@@ -70,15 +61,34 @@ type Node struct {
 	// back into calibration.
 	ActualNS int64 `json:"actual_ns"`
 	EstNS    int64 `json:"est_ns"`
-	// Cost is the delta of the process-global cost counters across the node.
+	// Cost holds the paper's cost counters flushed inside the node.
 	Cost obs.CostSnapshot `json:"cost"`
-	// NodeAccesses/LeafScans/LevelAccesses/TreePruned are deltas of the
-	// R-tree access accounting (LevelAccesses index 0 = leaves).
+	// NodeAccesses/LeafScans/LevelAccesses/TreePruned are the R-tree access
+	// counts flushed inside the node (LevelAccesses index 0 = leaves, up to
+	// the highest level read).
 	NodeAccesses  int     `json:"node_accesses"`
 	LeafScans     int     `json:"leaf_scans"`
 	LevelAccesses []int64 `json:"level_accesses,omitempty"`
 	TreePruned    int     `json:"tree_pruned"`
 	Children      []*Node `json:"children,omitempty"`
+}
+
+// setCounts copies a tally's counts onto the node.
+func (n *Node) setCounts(c obs.Counts) {
+	n.Cost = c.CostSnapshot
+	n.NodeAccesses = int(c.NodeAccesses)
+	n.LeafScans = int(c.LeafScans)
+	n.TreePruned = int(c.TreePruned)
+	top := len(c.LevelAccesses)
+	for top > 0 && c.LevelAccesses[top-1] == 0 {
+		top--
+	}
+	if top > 0 {
+		n.LevelAccesses = make([]int64, top)
+		for i := range n.LevelAccesses {
+			n.LevelAccesses[i] = int64(c.LevelAccesses[i])
+		}
+	}
 }
 
 // PruneRatio returns the fraction of inbound candidates this phase
@@ -115,19 +125,23 @@ type Plan struct {
 	Root        *Node  `json:"root"`
 }
 
-// Span is an open plan node: End closes it and computes its deltas. A nil
-// Span (from a nil Builder) no-ops everywhere.
+// Span is one open phase (Phase) or plan node (Builder.Start): End closes
+// it, SetIn/SetOut record candidate counts on its plan node. A nil Span (a
+// hidden phase, a nil or finished Builder) no-ops everywhere.
 type Span struct {
-	b    *Builder
-	n    *Node
-	done bool
-
-	startNS     int64
-	startCost   obs.CostSnapshot
-	startAcc    int
-	startLeaf   int
-	startPruned int
-	startLevels []int64
+	b     *Builder
+	n     *Node
+	tally *obs.Tally // the node's counters; nil records zeros
+	// start is the one timestamp of the phase: the trace span and the plan
+	// node both begin here.
+	start int64
+	name  string
+	tr    *obs.Trace
+	// labels is the context whose pprof labels End restores; nil when the
+	// span set none.
+	labels   context.Context
+	nodeDone bool // guarded by b.mu
+	ended    bool // End ran (only the opening goroutine calls End)
 }
 
 // Builder assembles the plan tree for one query. Safe for concurrent Start/
@@ -136,7 +150,6 @@ type Span struct {
 type Builder struct {
 	op    string
 	dims  int
-	tree  TreeStats
 	model *Model
 
 	mu    sync.Mutex
@@ -146,56 +159,77 @@ type Builder struct {
 }
 
 // NewBuilder opens a plan for one query. model may be nil (estimates then
-// stay zero); tree may be nil (no access attribution).
-func NewBuilder(op string, dims int, model *Model, tree TreeStats) *Builder {
-	b := &Builder{op: op, dims: dims, tree: tree, model: model}
-	b.root = b.open(op, RuleNone)
+// stay zero). Attach it to the query's context with With.
+func NewBuilder(op string, dims int, model *Model) *Builder {
+	b := &Builder{op: op, dims: dims, model: model}
+	b.root = &Span{b: b, n: &Node{Name: op, In: -1, Out: -1}, start: obs.Now()}
 	return b
 }
 
-// open creates a span with its start snapshots; callers append/push under mu
-// (NewBuilder runs before the builder is shared, so no lock there).
-func (b *Builder) open(name, rule string) *Span {
-	sp := &Span{
-		b:         b,
-		n:         &Node{Name: name, Rule: rule, In: -1, Out: -1},
-		startNS:   obs.Now(),
-		startCost: obs.Cost(),
-	}
-	if b.tree != nil {
-		sp.startAcc = b.tree.Accesses()
-		sp.startLeaf = b.tree.LeafScans()
-		sp.startPruned = b.tree.Pruned()
-		sp.startLevels = b.tree.LevelAccesses()
-	}
-	return sp
-}
-
-// Start opens a child plan node under the innermost open node. Returns nil on
-// a nil Builder — every Span method tolerates that, so call sites need no
-// enabled-check.
-func (b *Builder) Start(name, rule string) *Span {
-	if b == nil {
-		return nil
-	}
+// open links a new node for sp under the innermost open node, reporting
+// false when the plan is already finished (late spans from stragglers are
+// dropped).
+func (b *Builder) open(sp *Span, name, rule string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.plan != nil { // finished: late spans from stragglers are dropped
-		return nil
+	if b.plan != nil {
+		return false
 	}
-	sp := b.open(name, rule)
+	sp.b = b
+	sp.n = &Node{Name: name, Rule: rule, In: -1, Out: -1}
 	parent := b.root
 	if len(b.stack) > 0 {
 		parent = b.stack[len(b.stack)-1]
 	}
 	parent.n.Children = append(parent.n.Children, sp.n)
 	b.stack = append(b.stack, sp)
+	return true
+}
+
+// Start opens a bare child plan node under the innermost open node, with no
+// trace span, label or counters of its own; query phases use Phase. Returns
+// nil on a nil Builder — every Span method tolerates that, so call sites
+// need no enabled-check.
+func (b *Builder) Start(name, rule string) *Span {
+	if b == nil {
+		return nil
+	}
+	sp := &Span{start: obs.Now()}
+	if !b.open(sp, name, rule) {
+		return nil
+	}
 	return sp
+}
+
+// Phase opens a query phase named name: a span on ctx's trace, a plan node
+// with the given pruning rule under the innermost open node of ctx's
+// builder, and the pprof label phase=name on the calling goroutine. The
+// returned context carries the label (exec workers inherit it) and the
+// node's tally; run the phase's work under it. End the span on the same
+// goroutine, typically deferred. Under Hide, Phase opens nothing and returns
+// ctx and a nil Span: the work is still counted, in the enclosing node and
+// the query's tally.
+func Phase(ctx context.Context, name, rule string) (context.Context, *Span) {
+	v := ctx.Value(ctxKey{})
+	b, _ := v.(*Builder)
+	if v != nil && b == nil {
+		return ctx, nil // hidden
+	}
+	sp := &Span{start: obs.Now(), name: name, tr: obs.TraceFrom(ctx), labels: ctx}
+	if b != nil {
+		sp.tally = obs.NewTally(obs.TallyFrom(ctx))
+		if b.open(sp, name, rule) {
+			ctx = obs.WithTally(ctx, sp.tally)
+		}
+	}
+	ctx = pprof.WithLabels(ctx, pprof.Labels("phase", name))
+	pprof.SetGoroutineLabels(ctx)
+	return ctx, sp
 }
 
 // SetIn records the candidates entering the phase.
 func (sp *Span) SetIn(n int) {
-	if sp == nil {
+	if sp == nil || sp.n == nil {
 		return
 	}
 	sp.n.In = n
@@ -203,52 +237,43 @@ func (sp *Span) SetIn(n int) {
 
 // SetOut records the candidates surviving the phase.
 func (sp *Span) SetOut(n int) {
-	if sp == nil {
+	if sp == nil || sp.n == nil {
 		return
 	}
 	sp.n.Out = n
 }
 
-// End closes the span: actual time, counter deltas, cost estimate, and model
-// calibration. Idempotent; typically deferred.
+// End closes the span: the plan node (actual time, counters, cost estimate
+// and model calibration), the trace span, and the pprof label, which goes
+// back to the caller's. Idempotent; typically deferred.
 func (sp *Span) End() {
-	if sp == nil {
+	if sp == nil || sp.ended {
 		return
 	}
-	sp.b.mu.Lock()
-	defer sp.b.mu.Unlock()
-	sp.endLocked()
+	sp.ended = true
+	now := obs.Now()
+	if sp.b != nil {
+		sp.b.mu.Lock()
+		sp.b.closeLocked(sp, now)
+		sp.b.mu.Unlock()
+	}
+	sp.tr.AddSpan(sp.name, sp.start, now)
+	if sp.labels != nil {
+		pprof.SetGoroutineLabels(sp.labels)
+	}
 }
 
-// endLocked closes the span under the builder lock and unlinks it from the
-// open stack (wherever it sits — parallel workers may end out of order).
-func (sp *Span) endLocked() {
-	if sp.done {
+// closeLocked closes sp's plan node under the builder lock and unlinks it
+// from the open stack (wherever it sits — parallel workers may end out of
+// order).
+func (b *Builder) closeLocked(sp *Span, now int64) {
+	if sp.nodeDone {
 		return
 	}
-	sp.done = true
-	b := sp.b
+	sp.nodeDone = true
 	n := sp.n
-	n.ActualNS = obs.Now() - sp.startNS
-	n.Cost = obs.Cost().Sub(sp.startCost)
-	if b.tree != nil {
-		n.NodeAccesses = b.tree.Accesses() - sp.startAcc
-		n.LeafScans = b.tree.LeafScans() - sp.startLeaf
-		n.TreePruned = b.tree.Pruned() - sp.startPruned
-		levels := b.tree.LevelAccesses()
-		for i, v := range levels {
-			var prev int64
-			if i < len(sp.startLevels) {
-				prev = sp.startLevels[i]
-			}
-			if d := v - prev; d != 0 {
-				if n.LevelAccesses == nil {
-					n.LevelAccesses = make([]int64, len(levels))
-				}
-				n.LevelAccesses[i] = d
-			}
-		}
-	}
+	n.ActualNS = now - sp.start
+	n.setCounts(sp.tally.Counts())
 	units := estUnits(n)
 	n.EstNS = b.model.Estimate(n.Rule, units)
 	b.model.Observe(n.Rule, units, n.ActualNS)
@@ -261,9 +286,9 @@ func (sp *Span) endLocked() {
 }
 
 // estUnits maps a node to the cost model's work units: the inbound candidate
-// count, the paper's cost driver for every phase (window queries per
-// surviving customer, one MWP per corner, one dominance test per global-
-// skyline pair). Structural nodes without counts charge one unit.
+// count, the paper's cost driver for every phase (one DSL and anti-DDR per
+// safe-region member, one MWP per corner). Structural nodes without counts
+// charge one unit.
 func estUnits(n *Node) int64 {
 	if n.In > 0 {
 		return int64(n.In)
@@ -283,10 +308,11 @@ func (b *Builder) Finish(rung string) *Plan {
 	if b.plan != nil {
 		return b.plan
 	}
+	now := obs.Now()
 	for len(b.stack) > 0 {
-		b.stack[len(b.stack)-1].endLocked()
+		b.closeLocked(b.stack[len(b.stack)-1], now)
 	}
-	b.root.endLocked()
+	b.closeLocked(b.root, now)
 	shape := shapeOf(b.root.n)
 	b.plan = &Plan{
 		Op:          b.op,
@@ -302,8 +328,10 @@ func (b *Builder) Finish(rung string) *Plan {
 
 type ctxKey struct{}
 
-// With returns a context carrying the builder; instrumented layers pick it up
-// with From. Mirrors obs.WithTrace.
+// With returns a context carrying the builder, for Phase to find, and the
+// tally the plan's root node reads: a child of any tally ctx already
+// carries, so the plan's counts also reach the enclosing query's. Attach a
+// builder once.
 func With(ctx context.Context, b *Builder) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,23 +339,23 @@ func With(ctx context.Context, b *Builder) context.Context {
 	if b == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, b)
+	b.root.tally = obs.NewTally(obs.TallyFrom(ctx))
+	return obs.WithTally(context.WithValue(ctx, ctxKey{}, b), b.root.tally)
 }
 
-// Hide returns ctx with its builder, if any, hidden from the layers below.
-// Work whose repetition count depends on the data (MWQ's per-corner MWP
-// runs, batch questions) runs under it, so the plan shape — and the query
-// fingerprint — follow the pipeline, not the data. With no builder in ctx it
-// returns ctx unchanged.
+// Hide returns ctx with its phases hidden from the layers below: Phase
+// opens no trace span, plan node or label under it, while the work stays
+// counted in the enclosing node and the query's tally. Work whose
+// repetition count depends on the data (MWQ's per-corner MWP runs, batch
+// questions, MQP-cost MWPs) runs under it, so the plan shape — and the query
+// fingerprint — follow the pipeline, not the data, and traces stay bounded.
 func Hide(ctx context.Context) context.Context {
-	if From(ctx) == nil {
-		return ctx
-	}
 	return context.WithValue(ctx, ctxKey{}, (*Builder)(nil))
 }
 
-// From extracts the builder carried by ctx, or nil (explain disabled). The
-// nil path allocates nothing — the disabled-overhead budget test pins that.
+// From extracts the builder carried by ctx, or nil (explain disabled or
+// hidden). The nil path allocates nothing — the disabled-overhead budget
+// test pins that.
 func From(ctx context.Context) *Builder {
 	if ctx == nil {
 		return nil

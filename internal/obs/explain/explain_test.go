@@ -2,6 +2,7 @@ package explain
 
 import (
 	"context"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -9,33 +10,28 @@ import (
 	"repro/internal/obs"
 )
 
-type fakeTree struct {
-	acc, leaf, pruned int
-	levels            []int64
-}
-
-func (f *fakeTree) Accesses() int          { return f.acc }
-func (f *fakeTree) LeafScans() int         { return f.leaf }
-func (f *fakeTree) LevelAccesses() []int64 { return append([]int64(nil), f.levels...) }
-func (f *fakeTree) Pruned() int            { return f.pruned }
-
 func TestBuilderTreeAndDeltas(t *testing.T) {
-	ft := &fakeTree{levels: []int64{0, 0}}
-	b := NewBuilder("mwq", 2, NewModel(), ft)
+	b := NewBuilder("mwq", 2, NewModel())
 	ctx := With(context.Background(), b)
 	if From(ctx) != b {
 		t.Fatal("From did not round-trip the builder")
 	}
 
-	sp := From(ctx).Start("saferegion", RuleSafeRegion)
+	pctx, sp := Phase(ctx, "saferegion", RuleSafeRegion)
 	sp.SetIn(10)
-	obs.AddDominanceTests(7)
-	ft.acc, ft.leaf, ft.pruned = 5, 3, 2
-	ft.levels = []int64{3, 2}
+	c := obs.Counts{CostSnapshot: obs.CostSnapshot{DominanceTests: 7}, TreePruned: 2}
+	c.Visit(0)
+	c.Visit(0)
+	c.Visit(0)
+	c.Visit(1)
+	c.Visit(1)
+	obs.Flush(pctx, &c)
+	// A flush outside the phase reaches the root only.
+	obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{WindowQueries: 1}})
 	sp.SetOut(4)
 	sp.End()
 
-	child := b.Start("corners", RuleMidpoint)
+	_, child := Phase(ctx, "corners", RuleMidpoint)
 	child.SetIn(8)
 	child.SetOut(2)
 	child.End()
@@ -51,20 +47,23 @@ func TestBuilderTreeAndDeltas(t *testing.T) {
 		t.Fatalf("rung = %q", plan.Rung)
 	}
 	if len(plan.Root.Children) != 2 {
-		t.Fatalf("children = %d, want 2 (second Start after first End attaches to root)", len(plan.Root.Children))
+		t.Fatalf("children = %d, want 2 (second Phase after first End attaches to root)", len(plan.Root.Children))
 	}
 	sr := plan.Root.Children[0]
 	if sr.Name != "saferegion" || sr.Rule != RuleSafeRegion {
 		t.Fatalf("node 0 = %s[%s]", sr.Name, sr.Rule)
 	}
-	if sr.Cost.DominanceTests != 7 {
-		t.Fatalf("dominance delta = %d, want 7", sr.Cost.DominanceTests)
+	if sr.Cost.DominanceTests != 7 || sr.Cost.WindowQueries != 0 {
+		t.Fatalf("node cost = %+v, want 7 dominance tests and no window query", sr.Cost)
 	}
 	if sr.NodeAccesses != 5 || sr.LeafScans != 3 || sr.TreePruned != 2 {
-		t.Fatalf("tree deltas = %d/%d/%d", sr.NodeAccesses, sr.LeafScans, sr.TreePruned)
+		t.Fatalf("tree counts = %d/%d/%d", sr.NodeAccesses, sr.LeafScans, sr.TreePruned)
 	}
 	if len(sr.LevelAccesses) != 2 || sr.LevelAccesses[0] != 3 || sr.LevelAccesses[1] != 2 {
-		t.Fatalf("level deltas = %v", sr.LevelAccesses)
+		t.Fatalf("level counts = %v", sr.LevelAccesses)
+	}
+	if root := plan.Root; root.Cost.DominanceTests != 7 || root.Cost.WindowQueries != 1 || root.NodeAccesses != 5 {
+		t.Fatalf("root counts = %+v, %d accesses", root.Cost, root.NodeAccesses)
 	}
 	if r, ok := sr.PruneRatio(); !ok || r != 0.6 {
 		t.Fatalf("prune ratio = %v/%v", r, ok)
@@ -94,6 +93,47 @@ func TestBuilderTreeAndDeltas(t *testing.T) {
 	}
 	if !strings.Contains(plan.String(), "est=") {
 		t.Fatal("timed render missing estimates")
+	}
+}
+
+// TestPhaseOneSpanEverywhere: one Phase call is a trace span, a plan node and
+// a pprof label under one name; the label is back to the caller's after End;
+// and a hidden phase opens none of them while its flushes still reach the
+// enclosing node.
+func TestPhaseOneSpanEverywhere(t *testing.T) {
+	tr := obs.NewTrace("mwq")
+	b := NewBuilder("mwq", 2, nil)
+	ctx := With(obs.WithTrace(context.Background(), tr), b)
+	pprof.Do(ctx, pprof.Labels("op", "mwq"), func(ctx context.Context) {
+		pctx, sp := Phase(ctx, "mwq.corners", RuleMidpoint)
+		if got, _ := pprof.Label(pctx, "phase"); got != "mwq.corners" {
+			t.Errorf("phase label = %q", got)
+		}
+		if got, _ := pprof.Label(pctx, "op"); got != "mwq" {
+			t.Errorf("op label lost: %q", got)
+		}
+		hctx := Hide(pctx)
+		hidden, hsp := Phase(hctx, "mwp.frontier", RuleDSLWindow)
+		if hsp != nil || hidden != hctx {
+			t.Error("a hidden phase opened a span")
+		}
+		obs.Flush(hidden, &obs.Counts{CostSnapshot: obs.CostSnapshot{WindowQueries: 1}})
+		hsp.End()
+		sp.End()
+	})
+	plan := b.Finish("")
+	if len(plan.Root.Children) != 1 || plan.Root.Children[0].Name != "mwq.corners" {
+		t.Fatalf("plan shape = %s", plan.Shape)
+	}
+	if wq := plan.Root.Children[0].Cost.WindowQueries; wq != 1 {
+		t.Fatalf("hidden work counted %d window queries in the enclosing node, want 1", wq)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "mwq.corners" {
+		t.Fatalf("trace spans = %+v", spans)
+	}
+	if spans[0].End-spans[0].Start != plan.Root.Children[0].ActualNS {
+		t.Fatalf("trace span %v and plan node %dns time different intervals", spans[0].Duration(), plan.Root.Children[0].ActualNS)
 	}
 }
 
@@ -140,7 +180,7 @@ func TestModelCalibration(t *testing.T) {
 func TestStoreDriftDetection(t *testing.T) {
 	s := NewStore(4)
 	mkPlan := func(ns int64) *Plan {
-		b := NewBuilder("mwq", 2, nil, nil)
+		b := NewBuilder("mwq", 2, nil)
 		sp := b.Start("saferegion", RuleSafeRegion)
 		sp.SetIn(4)
 		sp.SetOut(2)
@@ -190,7 +230,7 @@ func TestStoreDriftDetection(t *testing.T) {
 func TestStoreBounded(t *testing.T) {
 	s := NewStore(2)
 	for i := 0; i < 5; i++ {
-		b := NewBuilder("op", i, nil, nil) // dims varies → distinct fingerprints
+		b := NewBuilder("op", i, nil) // dims varies → distinct fingerprints
 		s.Observe(b.Finish("exact"))
 	}
 	if s.Len() != 2 {
@@ -202,7 +242,7 @@ func TestStoreBounded(t *testing.T) {
 }
 
 func TestBuilderConcurrentSpans(t *testing.T) {
-	b := NewBuilder("mwq", 2, NewModel(), nil)
+	b := NewBuilder("mwq", 2, NewModel())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -181,7 +181,9 @@ func TestNilSafety(t *testing.T) {
 	a.SetRung("exact", false)
 	a.SetWALSeq(1)
 	a.SetSnapshotSeq(1)
-	a.SetCache(1, 2)
+	if ctx := context.Background(); a.Context(ctx) != ctx {
+		t.Fatal("nil Active changed the context")
+	}
 	if _, done := a.Finish(OutcomeOK, ""); done {
 		t.Fatal("nil Active Finish reported done")
 	}
@@ -193,6 +195,42 @@ func TestNilSafety(t *testing.T) {
 	}
 	if tot := l.Totals(); tot.Started != 0 {
 		t.Fatal("nil ledger has totals")
+	}
+}
+
+// TestRecordCountsItsOwnTally: a record's cost and cache counts are the
+// flushes made under its Context, not process-global deltas — a flush under
+// another record, or under no record, leaves it untouched.
+func TestRecordCountsItsOwnTally(t *testing.T) {
+	l := New(Config{})
+	a := l.Begin("mwq", "test", "", 1)
+	b := l.Begin("mwq", "test", "", 1)
+	actx, bctx := a.Context(context.Background()), b.Context(context.Background())
+	obs.Flush(actx, &obs.Counts{CostSnapshot: obs.CostSnapshot{DominanceTests: 3}, CacheHits: 2, CacheMisses: 1})
+	obs.Flush(bctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{DominanceTests: 100}})
+	obs.Flush(context.Background(), &obs.Counts{CostSnapshot: obs.CostSnapshot{DominanceTests: 1000}})
+	rec, _ := a.Finish(OutcomeOK, "")
+	if rec.Cost != (obs.CostSnapshot{DominanceTests: 3}) || rec.CacheHits != 2 || rec.CacheMisses != 1 {
+		t.Fatalf("record counts = %+v hits=%d misses=%d, want its own 3 tests, 2 hits, 1 miss", rec.Cost, rec.CacheHits, rec.CacheMisses)
+	}
+	b.Finish(OutcomeOK, "")
+}
+
+// TestRecordAdoptsCallerTrace: under a context that already carries a trace,
+// the record records into that trace, so its rung attempts come from the
+// spans the query actually recorded.
+func TestRecordAdoptsCallerTrace(t *testing.T) {
+	l := New(Config{HeadSampleEvery: 1})
+	tr := obs.NewTrace("mwq")
+	a := l.Begin("mwq", "test", "", 1)
+	ctx := a.Context(obs.WithTrace(context.Background(), tr))
+	if obs.TraceFrom(ctx) != tr || a.Trace() != tr {
+		t.Fatal("the record did not adopt the caller's trace")
+	}
+	tr.AddSpan("rung.exact", 1, 2)
+	rec, _ := a.Finish(OutcomeOK, "")
+	if len(rec.Attempts) != 1 || len(rec.Trace) != 1 {
+		t.Fatalf("record attempts %+v, trace %+v; want the caller's rung.exact span", rec.Attempts, rec.Trace)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -123,25 +124,28 @@ func New(cfg Config) *Ledger {
 // synchronization is needed between them. A nil *Active (from a nil or
 // disabled Ledger) is valid everywhere.
 type Active struct {
-	l          *Ledger
-	trace      *obs.Trace
-	costBefore obs.CostSnapshot
-	rec        QueryRecord
-	done       atomic.Bool
+	l *Ledger
+	// trace is the record's own trace until Context adopts the caller's.
+	trace atomic.Pointer[obs.Trace]
+	// tally receives the query's counter flushes once Context has put it on
+	// the query's context; nil (no counts) until then.
+	tally *obs.Tally
+	rec   QueryRecord
+	done  atomic.Bool
 }
 
 // Begin opens a record. params is the raw parameter string (redacted on
 // render; its digest always survives); workers is the parallelism serving
-// the query, frozen here so the inspector can read it without racing.
+// the query, frozen here so the inspector can read it without racing. Run
+// the query under Context's context, so the record gets its counts and
+// spans.
 func (l *Ledger) Begin(op, source, params string, workers int) *Active {
 	if l == nil {
 		return nil
 	}
-	a := &Active{
-		l:          l,
-		trace:      obs.NewTrace(op),
-		costBefore: obs.Cost(),
-	}
+	a := &Active{l: l}
+	tr := obs.NewTrace(op)
+	a.trace.Store(tr)
 	a.rec = QueryRecord{
 		Schema:       SchemaVersion,
 		ID:           l.nextID.Add(1),
@@ -149,7 +153,7 @@ func (l *Ledger) Begin(op, source, params string, workers int) *Active {
 		Op:           op,
 		Params:       params,
 		ParamsDigest: Digest(params),
-		StartNS:      a.trace.Start,
+		StartNS:      tr.Start,
 		Workers:      workers,
 		Admission:    "none",
 	}
@@ -160,13 +164,31 @@ func (l *Ledger) Begin(op, source, params string, workers int) *Active {
 	return a
 }
 
-// Trace returns the record's trace for context propagation (nil on a nil
-// Active — still valid, obs treats nil traces as disabled).
+// Context returns ctx carrying the record's tally — a child of any tally ctx
+// already carries, so the counts also reach the enclosing query's — and a
+// trace: ctx's own when it has one, which the record then adopts, else the
+// record's. Call it once, on the goroutine that will call Finish, before the
+// query runs; a nil Active returns ctx unchanged.
+func (a *Active) Context(ctx context.Context) context.Context {
+	if a == nil {
+		return ctx
+	}
+	a.tally = obs.NewTally(obs.TallyFrom(ctx))
+	ctx = obs.WithTally(ctx, a.tally)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		a.trace.Store(tr)
+		return ctx
+	}
+	return obs.WithTrace(ctx, a.trace.Load())
+}
+
+// Trace returns the record's trace (nil on a nil Active — still valid, obs
+// treats nil traces as disabled).
 func (a *Active) Trace() *obs.Trace {
 	if a == nil {
 		return nil
 	}
-	return a.trace
+	return a.trace.Load()
 }
 
 // SetAdmission records the admission verdict ("admitted", "shed:<reason>").
@@ -205,18 +227,12 @@ func (a *Active) SetSnapshotSeq(seq uint64) {
 	}
 }
 
-// SetCache records cache hit/miss deltas attributed to this query.
-func (a *Active) SetCache(hits, misses uint64) {
-	if a != nil {
-		a.rec.CacheHits, a.rec.CacheMisses = hits, misses
-	}
-}
-
-// Finish closes the record: stamps duration, outcome and cost delta, derives
-// the rung ladder and degradation reasons from the trace, decides sampling,
-// and commits to the ring (and slow log if sampled). Idempotent — the second
-// and later calls are no-ops, so a blanket deferred Finish is safe alongside
-// early-exit paths. Returns the final record and whether this call closed it.
+// Finish closes the record: stamps duration, outcome, and the cost and cache
+// counts its tally received, derives the rung ladder and degradation reasons
+// from the trace, decides sampling, and commits to the ring (and slow log if
+// sampled). Idempotent — the second and later calls are no-ops, so a blanket
+// deferred Finish is safe alongside early-exit paths. Returns the final
+// record and whether this call closed it.
 func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 	if a == nil || a.done.Swap(true) {
 		return QueryRecord{}, false
@@ -227,10 +243,12 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 	rec.DurationMS = float64(durNS) / 1e6
 	rec.Outcome = outcome
 	rec.Error = errMsg
-	rec.Cost = obs.Cost().Sub(a.costBefore)
-	rec.Truncated = a.trace.Truncated()
+	counts := a.tally.Counts()
+	rec.Cost, rec.CacheHits, rec.CacheMisses = counts.CostSnapshot, counts.CacheHits, counts.CacheMisses
+	tr := a.trace.Load()
+	rec.Truncated = tr.Truncated()
 
-	spans := a.trace.Spans()
+	spans := tr.Spans()
 	breaker := false
 	for _, sp := range spans {
 		if name, ok := strings.CutPrefix(sp.Name, "rung."); ok {
@@ -240,7 +258,7 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 			})
 		}
 	}
-	for _, ev := range a.trace.Events() {
+	for _, ev := range tr.Events() {
 		switch ev.Name {
 		case "degrade":
 			rec.DegradeReasons = append(rec.DegradeReasons, ev.Detail)
@@ -251,7 +269,7 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 	if reason, ok := l.sampleReason(rec, breaker, durNS); ok {
 		rec.Sampled, rec.SampleReason = true, reason
 		rec.Trace = dumpSpans(spans)
-		rec.Events = dumpEvents(a.trace.Events())
+		rec.Events = dumpEvents(tr.Events())
 	}
 	if !l.cfg.Epoch.IsZero() {
 		rec.TS = l.cfg.Epoch.Add(time.Duration(rec.StartNS)).UTC().Format(time.RFC3339Nano)
@@ -411,7 +429,7 @@ func (l *Ledger) InFlight() []InFlightInfo {
 			Phase:        "-",
 			Workers:      a.rec.Workers,
 		}
-		spans := a.trace.Spans()
+		spans := a.trace.Load().Spans()
 		info.Spans = len(spans)
 		var latest int64 = -1
 		for _, sp := range spans {

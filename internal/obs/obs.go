@@ -2,7 +2,8 @@
 // atomics-based counters, gauges and bounded histograms; a Registry rendering
 // Prometheus text format and JSON; process-global cost counters mirroring the
 // paper's efficiency metrics (R-tree node accesses, dominance tests, DSL
-// computations — §VII reports exactly these); a lock-free per-query span
+// computations — §VII reports exactly these) with a per-query counter set
+// (Tally) that keeps each query's own counts; a lock-free per-query span
 // recorder (Trace); and the debug HTTP mux serving /metrics, expvar and pprof.
 //
 // Design rules:
@@ -14,7 +15,8 @@
 //     (a monotonic nanosecond clock, mockable in tests), which `make vet-obs`
 //     enforces repository-wide;
 //   - counters on algorithm hot paths are batched: loops count into a local
-//     int and flush once per operation with a single atomic add.
+//     Counts and the operation flushes it once (Flush), into the global
+//     counters and the tallies its context carries.
 package obs
 
 import (

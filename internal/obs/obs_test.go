@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -261,17 +262,13 @@ func TestConcurrentMetricUpdatesAndRender(t *testing.T) {
 
 func TestCostSnapshotDeltas(t *testing.T) {
 	before := Cost()
-	AddDominanceTests(3)
-	AddDSLComputations(1)
-	AddWindowQueries(2)
-	AddSafeRegionVertices(4)
-	AddCandidateEvaluations(5)
-	AddCacheStale(1)
-	AddDegradations(1)
-	AddCancellations(1)
-	// Negative/zero increments are ignored.
-	AddDominanceTests(0)
-	AddDominanceTests(-7)
+	Flush(context.Background(), &Counts{CostSnapshot: CostSnapshot{
+		DominanceTests: 3, DSLComputations: 1, WindowQueries: 2,
+		SafeRegionVertices: 4, CandidateEvaluations: 5, CacheStale: 1,
+		Degradations: 1, Cancellations: 1,
+	}})
+	// An empty flush adds nothing.
+	Flush(context.Background(), &Counts{})
 	d := Cost().Sub(before)
 	want := CostSnapshot{
 		DominanceTests: 3, DSLComputations: 1, WindowQueries: 2,
@@ -287,7 +284,7 @@ func TestRegisterCost(t *testing.T) {
 	r := NewRegistry()
 	RegisterCost(r)
 	base := Cost()
-	AddDominanceTests(2)
+	Flush(context.Background(), &Counts{CostSnapshot: CostSnapshot{DominanceTests: 2}})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -299,4 +296,52 @@ func TestRegisterCost(t *testing.T) {
 		t.Fatalf("dominance delta = %d, want 2", got)
 	}
 	RegisterCost(nil) // must not panic
+}
+
+// TestTallyChainExactUnderConcurrentFlushes: flushes under a tally reach it
+// and every parent, exactly, while goroutines flush into sibling tallies and
+// into contexts with no tally at all; the siblings never see each other.
+func TestTallyChainExactUnderConcurrentFlushes(t *testing.T) {
+	const workers, per = 8, 500
+	root := NewTally(nil)
+	kids := make([]*Tally, workers)
+	before := Cost()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		kids[w] = NewTally(root)
+		ctx := WithTally(context.Background(), kids[w])
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c := Counts{CostSnapshot: CostSnapshot{DominanceTests: 2, WindowQueries: 1}, CacheHits: 1}
+				c.Visit(0)
+				c.Visit(2)
+				Flush(ctx, &c)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				Flush(context.Background(), &Counts{CostSnapshot: CostSnapshot{DominanceTests: 1}})
+			}
+		}()
+	}
+	wg.Wait()
+	for w, k := range kids {
+		c := k.Counts()
+		if c.DominanceTests != 2*per || c.WindowQueries != per || c.CacheHits != per ||
+			c.NodeAccesses != 2*per || c.LeafScans != per || c.LevelAccesses[0] != per || c.LevelAccesses[2] != per {
+			t.Fatalf("tally %d = %+v", w, c)
+		}
+	}
+	if c := root.Counts(); c.DominanceTests != 2*per*workers || c.NodeAccesses != 2*per*workers {
+		t.Fatalf("root tally = %+v", c)
+	}
+	if got := Cost().Sub(before).DominanceTests; got < 3*per*workers {
+		t.Fatalf("global dominance delta = %d, want at least %d", got, 3*per*workers)
+	}
+	if (*Tally)(nil).Counts() != (Counts{}) || TallyFrom(context.Background()) != nil {
+		t.Fatal("nil tally must read as zero")
+	}
 }

@@ -13,7 +13,8 @@
 //
 // Every query is a ctx-first method (XCtx) that takes its cancellation
 // checker from the context once per call (cancel.Bind) and hands it to the
-// index traversals.
+// index traversals, together with one obs.Counts the traversal counts into;
+// the method flushes that value to the context's tally once (obs.Flush).
 package rskyline
 
 import (
@@ -174,12 +175,12 @@ func (db *DB) mutated() {
 // block it. The traversal polls ctx's checker at every node visit.
 func (db *DB) WindowQueryCtx(ctx context.Context, c, q geom.Point, excludeID int) ([]Item, error) {
 	_, chk := cancel.Bind(ctx)
-	obs.AddWindowQueries(1)
+	cnt := obs.Counts{CostSnapshot: obs.CostSnapshot{WindowQueries: 1}}
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	var out []Item
-	dt := 0 // batched: one atomic flush per query, not per item
-	err := db.tree.SearchChecked(chk, geom.WindowRect(c, q), func(it Item) bool {
+	dt := 0
+	err := db.tree.SearchChecked(chk, &cnt, geom.WindowRect(c, q), func(it Item) bool {
 		if it.ID != excludeID {
 			dt++
 			if geom.DynDominates(c, it.Point, q) {
@@ -188,7 +189,8 @@ func (db *DB) WindowQueryCtx(ctx context.Context, c, q geom.Point, excludeID int
 		}
 		return true
 	})
-	obs.AddDominanceTests(dt)
+	cnt.DominanceTests += uint64(dt)
+	obs.Flush(ctx, &cnt)
 	if err != nil {
 		return nil, err
 	}
@@ -199,18 +201,19 @@ func (db *DB) WindowQueryCtx(ctx context.Context, c, q geom.Point, excludeID int
 // at the first dominating product.
 func (db *DB) WindowExistsCtx(ctx context.Context, c, q geom.Point, excludeID int) (bool, error) {
 	_, chk := cancel.Bind(ctx)
-	obs.AddWindowQueries(1)
+	cnt := obs.Counts{CostSnapshot: obs.CostSnapshot{WindowQueries: 1}}
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
 	dt := 0
-	found, err := db.tree.ExistsChecked(chk, geom.WindowRect(c, q), func(it Item) bool {
+	found, err := db.tree.ExistsChecked(chk, &cnt, geom.WindowRect(c, q), func(it Item) bool {
 		if it.ID == excludeID {
 			return false
 		}
 		dt++
 		return geom.DynDominates(c, it.Point, q)
 	})
-	obs.AddDominanceTests(dt)
+	cnt.DominanceTests += uint64(dt)
+	obs.Flush(ctx, &cnt)
 	return found, err
 }
 
@@ -224,7 +227,8 @@ func (db *DB) WindowExistsCtx(ctx context.Context, c, q geom.Point, excludeID in
 // cancelled traversal returns the context's error and no partial frontier.
 func (db *DB) WindowFrontierCtx(ctx context.Context, c, q, centre geom.Point, excludeID int) ([]Item, error) {
 	_, chk := cancel.Bind(ctx)
-	obs.AddWindowQueries(1)
+	cnt := obs.Counts{CostSnapshot: obs.CostSnapshot{WindowQueries: 1}}
+	defer obs.Flush(ctx, &cnt)
 	dt := 0 // point-point tests only; the prune's box tests are not counted
 	pr := 0 // frontier candidates eliminated by transformed dominance
 	window := geom.WindowRect(c, q)
@@ -252,7 +256,7 @@ func (db *DB) WindowFrontierCtx(ctx context.Context, c, q, centre geom.Point, ex
 		return false
 	}
 	db.treeMu.RLock()
-	err := db.tree.GuidedSearchChecked(chk, window,
+	err := db.tree.GuidedSearchChecked(chk, &cnt, window,
 		func(r geom.Rect) float64 { return r.MinDistL1(centre) },
 		prune,
 		func(it Item) bool {
@@ -277,8 +281,8 @@ func (db *DB) WindowFrontierCtx(ctx context.Context, c, q, centre geom.Point, ex
 	)
 	db.treeMu.RUnlock()
 	if err != nil {
-		obs.AddDominanceTests(dt)
-		obs.AddPruned(pr)
+		cnt.DominanceTests += uint64(dt)
+		cnt.PrunedEntries += uint64(pr)
 		return nil, err
 	}
 	// Exactify: out-of-order arrivals can leave dominated members behind.
@@ -300,8 +304,8 @@ func (db *DB) WindowFrontierCtx(ctx context.Context, c, q, centre geom.Point, ex
 			pr++
 		}
 	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pr)
+	cnt.DominanceTests += uint64(dt)
+	cnt.PrunedEntries += uint64(pr)
 	return out, nil
 }
 
@@ -356,26 +360,22 @@ func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q
 // pass is about one dominance test per customer, far cheaper than handing
 // each customer to a worker, so only its survivors fan out.
 func (db *DB) globalFilter(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
-	gs, err := db.globalSkylineBBS(ctx, q)
+	var cnt obs.Counts
+	defer obs.Flush(ctx, &cnt)
+	gs, err := db.globalSkylineBBS(ctx, &cnt, q)
 	if err != nil {
 		return nil, err
 	}
 	_, chk := cancel.Bind(ctx)
 	var cands []Item
-	dt := 0
-	gdPruned := 0 // customers eliminated by the global-dominance filter
-	defer func() {
-		obs.AddDominanceTests(dt)
-		obs.AddPruned(gdPruned)
-	}()
 	for _, c := range customers {
 		if err := chk.Point(cancel.SiteCustomer); err != nil {
 			return nil, err
 		}
 		dominated, tests := gs.Dominates(c)
-		dt += tests
+		cnt.DominanceTests += uint64(tests)
 		if dominated {
-			gdPruned++
+			cnt.PrunedEntries++ // eliminated by the global-dominance filter
 			continue
 		}
 		cands = append(cands, c)
@@ -393,7 +393,9 @@ func (db *DB) globalFilter(ctx context.Context, customers []Item, q geom.Point) 
 // the candidate traversal and the per-candidate verification.
 func (db *DB) ReverseSkylineBBRSCtx(ctx context.Context, q geom.Point) ([]Item, error) {
 	ctx, _ = cancel.Bind(ctx)
-	gs, err := db.globalSkylineBBS(ctx, q)
+	var cnt obs.Counts
+	gs, err := db.globalSkylineBBS(ctx, &cnt, q)
+	obs.Flush(ctx, &cnt)
 	if err != nil {
 		return nil, err
 	}
@@ -424,22 +426,19 @@ func (db *DB) verify(ctx context.Context, cands []Item, q geom.Point) ([]Item, e
 	return out, nil
 }
 
-// globalSkylineBBS runs the candidate traversal under the tree read lock.
-func (db *DB) globalSkylineBBS(ctx context.Context, q geom.Point) (*skyline.GlobalSkyline, error) {
+// globalSkylineBBS runs the candidate traversal under the tree read lock,
+// counting into cnt.
+func (db *DB) globalSkylineBBS(ctx context.Context, cnt *obs.Counts, q geom.Point) (*skyline.GlobalSkyline, error) {
 	_, chk := cancel.Bind(ctx)
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
-	return skyline.GlobalSkylineBBSChecked(chk, db.tree, q)
+	return skyline.GlobalSkylineBBSChecked(chk, cnt, db.tree, q)
 }
 
 // DynamicSkylineCtx computes DSL(c) over the products via branch-and-bound
 // on the R*-tree.
 func (db *DB) DynamicSkylineCtx(ctx context.Context, c geom.Point) ([]Item, error) {
-	_, chk := cancel.Bind(ctx)
-	obs.AddDSLComputations(1)
-	db.treeMu.RLock()
-	defer db.treeMu.RUnlock()
-	return skyline.DynamicBBSChecked(chk, db.tree, c)
+	return db.DynamicSkylineExcludingCtx(ctx, c, NoExclude)
 }
 
 // DynamicSkylineExcluding is DynamicSkylineExcludingCtx without a deadline.
@@ -452,35 +451,51 @@ func (db *DB) DynamicSkylineExcluding(c geom.Point, excludeID int) []Item {
 // record whose ID is excludeID (monochromatic convention). Pass NoExclude to
 // keep everything.
 func (db *DB) DynamicSkylineExcludingCtx(ctx context.Context, c geom.Point, excludeID int) ([]Item, error) {
-	if excludeID == NoExclude {
-		return db.DynamicSkylineCtx(ctx, c)
-	}
+	var cnt obs.Counts
+	out, err := db.dynamicSkyline(ctx, &cnt, c, excludeID)
+	obs.Flush(ctx, &cnt)
+	return out, err
+}
+
+// dynamicSkyline is one DSL computation under the tree read lock, counted
+// into cnt.
+func (db *DB) dynamicSkyline(ctx context.Context, cnt *obs.Counts, c geom.Point, excludeID int) ([]Item, error) {
 	_, chk := cancel.Bind(ctx)
-	obs.AddDSLComputations(1)
+	cnt.DSLComputations++
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
-	return skyline.DynamicBBSExcludingChecked(chk, db.tree, c, excludeID)
+	if excludeID == NoExclude {
+		return skyline.DynamicBBSChecked(chk, cnt, db.tree, c)
+	}
+	return skyline.DynamicBBSExcludingChecked(chk, cnt, db.tree, c, excludeID)
 }
 
 // DynamicSkylineOfCtx computes DSL(c.Point) excluding excludeID through the
 // DSL cache when one is enabled: a hit must match the customer's point, the
 // exclusion convention, and the current mutation generation; anything else
-// recomputes and refreshes the entry. Callers must not modify the returned
-// slice — it may be shared with other queries.
+// recomputes and refreshes the entry. The lookup's outcome is counted with
+// the query's other work. Callers must not modify the returned slice — it
+// may be shared with other queries.
 func (db *DB) DynamicSkylineOfCtx(ctx context.Context, c Item, excludeID int) ([]Item, error) {
 	if db.dsl == nil {
 		return db.DynamicSkylineExcludingCtx(ctx, c.Point, excludeID)
 	}
+	var cnt obs.Counts
+	defer obs.Flush(ctx, &cnt)
 	gen := db.gen.Load()
-	if e, ok := db.dsl.Get(c.ID); ok {
+	e, ok := db.dsl.Get(c.ID)
+	if !ok {
+		cnt.CacheMisses++
+	} else {
+		cnt.CacheHits++
 		if e.gen == gen && e.exclude == excludeID && e.point.Equal(c.Point) {
 			return e.items, nil
 		}
 		// Found but generation- or key-invalidated: a stale-on-arrival hit.
 		db.dsl.MarkStale()
-		obs.AddCacheStale(1)
+		cnt.CacheStale++
 	}
-	out, err := db.DynamicSkylineExcludingCtx(ctx, c.Point, excludeID)
+	out, err := db.dynamicSkyline(ctx, &cnt, c.Point, excludeID)
 	if err != nil {
 		return nil, err
 	}

@@ -1,29 +1,23 @@
 package rtree
 
+import "repro/internal/obs"
+
 // Node-access accounting: in a disk-resident R-tree every visited node is a
 // page read, so "nodes accessed" is the standard I/O cost metric of the
-// skyline literature (BBS is I/O-optimal in it). The counter covers Search,
-// Exists, BestFirst and the operations built on them. It is atomic, so
-// concurrent read-only queries stay race-free; per-query attribution is
-// meaningful only for single-threaded measurements.
+// skyline literature (BBS is I/O-optimal in it). Every traversal (Search,
+// Exists, BestFirst, GuidedSearch and the operations built on them) counts
+// its node visits, per level, and its prune-hook skips into one obs.Counts:
+// the caller's, for the …Checked forms, which the caller flushes to its
+// query's tally once, or a fresh one for the context-free forms. When the
+// traversal returns it adds its visits to the tree's totals, so Accesses and
+// LeafScans stay exact and live however many queries run at once; per-query
+// attribution comes from the tally, never from differencing these totals.
 
-// maxTrackedLevels bounds the per-level access breakdown. An R*-tree with
-// fanout ≥ 8 holds >10^14 items at 16 levels, so the fold-into-top-slot case
-// is theoretical.
-const maxTrackedLevels = 16
-
-// recordAccess counts one node visit at the given level (0 = leaf). All
-// traversal engines funnel through it so the aggregate, leaf and per-level
-// counters cannot drift apart.
-func (t *Tree) recordAccess(level int) {
-	t.accesses.Add(1)
-	if level == 0 {
-		t.leafScans.Add(1)
-	}
-	if level >= maxTrackedLevels {
-		level = maxTrackedLevels - 1
-	}
-	t.levelAccesses[level].Add(1)
+// addVisits adds the node visits counted into c since it held nodes visits
+// (leaves of them leaf scans) to the tree's totals; traversals defer it.
+func (t *Tree) addVisits(c *obs.Counts, nodes, leaves uint64) {
+	t.accesses.Add(int64(c.NodeAccesses - nodes))
+	t.leafScans.Add(int64(c.LeafScans - leaves))
 }
 
 // Accesses returns the number of nodes visited since the last reset.
@@ -34,37 +28,8 @@ func (t *Tree) Accesses() int { return int(t.accesses.Load()) }
 // with a high leaf share is doing little pruning.
 func (t *Tree) LeafScans() int { return int(t.leafScans.Load()) }
 
-// LevelAccesses returns the node-access counts split by tree level, index 0 =
-// leaves, trimmed to the tree's height. The profile distinguishes a traversal
-// that prunes high (directory-heavy) from one that descends everywhere
-// (leaf-heavy).
-func (t *Tree) LevelAccesses() []int64 {
-	n := t.height
-	if n > maxTrackedLevels {
-		n = maxTrackedLevels
-	}
-	if n < 1 {
-		n = 1
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = t.levelAccesses[i].Load()
-	}
-	return out
-}
-
-// Pruned returns how many subtrees or entries were skipped by a traversal
-// prune hook since the last reset — each one a page read (or candidate test)
-// the branch-and-bound avoided.
-func (t *Tree) Pruned() int { return int(t.pruned.Load()) }
-
-// ResetAccesses zeroes the node-access, leaf-scan, per-level and prune
-// counters.
+// ResetAccesses zeroes the node-access and leaf-scan totals.
 func (t *Tree) ResetAccesses() {
 	t.accesses.Store(0)
 	t.leafScans.Store(0)
-	for i := range t.levelAccesses {
-		t.levelAccesses[i].Store(0)
-	}
-	t.pruned.Store(0)
 }

@@ -5,31 +5,33 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // Search invokes fn for every item whose point lies in the closed query
 // rectangle. Traversal stops early if fn returns false.
 func (t *Tree) Search(query geom.Rect, fn func(Item) bool) {
-	t.search(t.root, query, fn, nil)
+	_ = t.SearchChecked(nil, new(obs.Counts), query, fn)
 }
 
 // SearchChecked is Search with cooperative cancellation: the checker is
 // consulted once per visited node and the traversal aborts as soon as it
 // reports cancellation, which is then returned. A nil checker degrades to
-// plain Search.
-func (t *Tree) SearchChecked(chk *cancel.Checker, query geom.Rect, fn func(Item) bool) error {
+// plain Search. The visited nodes are counted into c.
+func (t *Tree) SearchChecked(chk *cancel.Checker, c *obs.Counts, query geom.Rect, fn func(Item) bool) error {
 	if err := chk.Err(); err != nil {
 		return err
 	}
-	t.search(t.root, query, fn, chk)
+	defer t.addVisits(c, c.NodeAccesses, c.LeafScans)
+	t.search(t.root, query, fn, chk, c)
 	return chk.Err()
 }
 
-func (t *Tree) search(n *node, query geom.Rect, fn func(Item) bool, chk *cancel.Checker) bool {
+func (t *Tree) search(n *node, query geom.Rect, fn func(Item) bool, chk *cancel.Checker, c *obs.Counts) bool {
 	if chk.Point(cancel.SiteRTreeNode) != nil {
 		return false
 	}
-	t.recordAccess(n.level)
+	c.Visit(n.level)
 	for _, e := range n.entries {
 		if !query.Intersects(e.rect) {
 			continue
@@ -38,7 +40,7 @@ func (t *Tree) search(n *node, query geom.Rect, fn func(Item) bool, chk *cancel.
 			if !fn(e.item) {
 				return false
 			}
-		} else if !t.search(e.child, query, fn, chk) {
+		} else if !t.search(e.child, query, fn, chk, c) {
 			return false
 		}
 	}
@@ -60,16 +62,16 @@ func (t *Tree) RangeQuery(query geom.Rect) []Item {
 // every item. This is the existence-only window query used to verify reverse
 // skyline membership.
 func (t *Tree) Exists(query geom.Rect, pred func(Item) bool) bool {
-	found, _ := t.ExistsChecked(nil, query, pred)
+	found, _ := t.ExistsChecked(nil, new(obs.Counts), query, pred)
 	return found
 }
 
-// ExistsChecked is Exists with cooperative cancellation. When the traversal
-// is cancelled before a witness is found, found is false and the context's
-// error is returned.
-func (t *Tree) ExistsChecked(chk *cancel.Checker, query geom.Rect, pred func(Item) bool) (bool, error) {
+// ExistsChecked is Exists with cooperative cancellation, counting into c
+// like SearchChecked. When the traversal is cancelled before a witness is
+// found, found is false and the context's error is returned.
+func (t *Tree) ExistsChecked(chk *cancel.Checker, c *obs.Counts, query geom.Rect, pred func(Item) bool) (bool, error) {
 	found := false
-	err := t.SearchChecked(chk, query, func(it Item) bool {
+	err := t.SearchChecked(chk, c, query, func(it Item) bool {
 		if pred == nil || pred(it) {
 			found = true
 			return false
@@ -91,7 +93,7 @@ func (t *Tree) All(fn func(Item) bool) {
 	if t.size == 0 {
 		return
 	}
-	t.search(t.root, t.root.mbr(), fn, nil)
+	t.Search(t.root.mbr(), fn)
 }
 
 // Items returns all stored items.
@@ -174,14 +176,16 @@ func (t *Tree) BestFirst(
 	prune func(rect geom.Rect) bool,
 	fn func(Item, float64) bool,
 ) {
-	t.bestFirst(nil, itemKey, rectKey, prune, fn)
+	_ = t.BestFirstChecked(nil, new(obs.Counts), itemKey, rectKey, prune, fn)
 }
 
 // BestFirstChecked is BestFirst with cooperative cancellation: the checker is
 // consulted once per heap pop (node or item expansion) and the traversal
-// aborts, returning the context's error, as soon as it fires.
+// aborts, returning the context's error, as soon as it fires. Node visits
+// and prune-hook skips are counted into c like SearchChecked's.
 func (t *Tree) BestFirstChecked(
 	chk *cancel.Checker,
+	c *obs.Counts,
 	itemKey func(geom.Point) float64,
 	rectKey func(geom.Rect) float64,
 	prune func(rect geom.Rect) bool,
@@ -190,12 +194,14 @@ func (t *Tree) BestFirstChecked(
 	if err := chk.Err(); err != nil {
 		return err
 	}
-	t.bestFirst(chk, itemKey, rectKey, prune, fn)
+	defer t.addVisits(c, c.NodeAccesses, c.LeafScans)
+	t.bestFirst(chk, c, itemKey, rectKey, prune, fn)
 	return chk.Err()
 }
 
 func (t *Tree) bestFirst(
 	chk *cancel.Checker,
+	c *obs.Counts,
 	itemKey func(geom.Point) float64,
 	rectKey func(geom.Rect) float64,
 	prune func(rect geom.Rect) bool,
@@ -215,7 +221,7 @@ func (t *Tree) bestFirst(
 		e := top.e
 		if e.child == nil {
 			if prune != nil && prune(e.rect) {
-				t.pruned.Add(1)
+				c.TreePruned++
 				continue
 			}
 			if !fn(e.item, top.key) {
@@ -224,16 +230,15 @@ func (t *Tree) bestFirst(
 			continue
 		}
 		n := e.child
-		t.recordAccess(n.level)
+		c.Visit(n.level)
 		if prune != nil && prune(e.rect) {
-			t.pruned.Add(1)
+			c.TreePruned++
 			continue
 		}
-		prunedHere := int64(0)
 		for i := range n.entries {
 			ne := &n.entries[i]
 			if prune != nil && prune(ne.rect) {
-				prunedHere++
+				c.TreePruned++
 				continue
 			}
 			if n.leaf {
@@ -241,9 +246,6 @@ func (t *Tree) bestFirst(
 			} else {
 				h.push(pqEntry{key: rectKey(ne.rect), e: ne})
 			}
-		}
-		if prunedHere > 0 {
-			t.pruned.Add(prunedHere)
 		}
 	}
 }
@@ -261,16 +263,14 @@ func (t *Tree) GuidedSearch(
 	prune func(geom.Rect) bool,
 	fn func(Item) bool,
 ) {
-	if t.size == 0 {
-		return
-	}
-	t.guidedSearch(t.root, query, order, prune, fn, nil)
+	_ = t.GuidedSearchChecked(nil, new(obs.Counts), query, order, prune, fn)
 }
 
 // GuidedSearchChecked is GuidedSearch with cooperative cancellation at
-// node-visit granularity.
+// node-visit granularity, counting into c like BestFirstChecked.
 func (t *Tree) GuidedSearchChecked(
 	chk *cancel.Checker,
+	c *obs.Counts,
 	query geom.Rect,
 	order func(geom.Rect) float64,
 	prune func(geom.Rect) bool,
@@ -280,7 +280,8 @@ func (t *Tree) GuidedSearchChecked(
 		return err
 	}
 	if t.size > 0 {
-		t.guidedSearch(t.root, query, order, prune, fn, chk)
+		defer t.addVisits(c, c.NodeAccesses, c.LeafScans)
+		t.guidedSearch(t.root, query, order, prune, fn, chk, c)
 	}
 	return chk.Err()
 }
@@ -292,11 +293,12 @@ func (t *Tree) guidedSearch(
 	prune func(geom.Rect) bool,
 	fn func(Item) bool,
 	chk *cancel.Checker,
+	c *obs.Counts,
 ) bool {
 	if chk.Point(cancel.SiteRTreeNode) != nil {
 		return false
 	}
-	t.recordAccess(n.level)
+	c.Visit(n.level)
 	if n.leaf {
 		for _, e := range n.entries {
 			if !query.Intersects(e.rect) {
@@ -320,22 +322,15 @@ func (t *Tree) guidedSearch(
 		refs = append(refs, childRef{key: order(e.rect), idx: i})
 	}
 	sort.Slice(refs, func(a, b int) bool { return refs[a].key < refs[b].key })
-	prunedHere := int64(0)
 	for _, r := range refs {
 		e := n.entries[r.idx]
 		if prune != nil && prune(e.rect) {
-			prunedHere++
+			c.TreePruned++
 			continue
 		}
-		if !t.guidedSearch(e.child, query, order, prune, fn, chk) {
-			if prunedHere > 0 {
-				t.pruned.Add(prunedHere)
-			}
+		if !t.guidedSearch(e.child, query, order, prune, fn, chk, c) {
 			return false
 		}
-	}
-	if prunedHere > 0 {
-		t.pruned.Add(prunedHere)
 	}
 	return true
 }

@@ -103,18 +103,14 @@ func (n *node) mbr() geom.Rect {
 // Tree is an R*-tree over point items. It is not safe for concurrent
 // mutation; concurrent read-only queries are safe.
 type Tree struct {
-	cfg       Config
-	root      *node
-	size      int
-	height    int
+	cfg    Config
+	root   *node
+	size   int
+	height int
+	// accesses and leafScans total the node visits of every traversal
+	// (access.go).
 	accesses  atomic.Int64
 	leafScans atomic.Int64
-	// levelAccesses splits the access count by node level (index 0 = leaves);
-	// levels beyond the tracked window fold into the top slot. pruned counts
-	// subtree/entry prunes taken by a traversal's prune hook — page reads the
-	// branch-and-bound avoided.
-	levelAccesses [maxTrackedLevels]atomic.Int64
-	pruned        atomic.Int64
 }
 
 // New returns an empty tree for dims-dimensional points.

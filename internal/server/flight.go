@@ -58,12 +58,7 @@ func (s *Server) closeSlowlog() error {
 // the written HTTP status then classifies the outcome); the response writer
 // is the middleware's statusWriter, so the status read here is the one the
 // client actually got, even if a deeper layer wrote it.
-func (s *Server) finishRecord(act *flight.Active, op string, began int64,
-	w http.ResponseWriter, qerr error, snap *Snapshot, cacheBefore [2]uint64) {
-	if snap != nil {
-		after := cacheCounts(snap)
-		act.SetCache(after[0]-cacheBefore[0], after[1]-cacheBefore[1])
-	}
+func (s *Server) finishRecord(act *flight.Active, op string, began int64, w http.ResponseWriter, qerr error) {
 	outcome := s.outcomeFor(qerr, statusOf(w))
 	msg := ""
 	if qerr != nil {
@@ -132,14 +127,6 @@ func (s *Server) outcomeFor(qerr error, status int) string {
 // count: a refused request is still a request the service failed to serve.
 func sloFailed(outcome string) bool {
 	return outcome != flight.OutcomeOK && outcome != flight.OutcomeCanceled
-}
-
-// cacheCounts sums both memoisation caches' hits and misses for per-query
-// before/after deltas (exact when requests run serially; an aggregate
-// attribution under concurrency, same contract as the obs.Cost deltas).
-func cacheCounts(snap *Snapshot) [2]uint64 {
-	cs := snap.DB.CacheStats()
-	return [2]uint64{cs.DSL.Hits + cs.AntiDDR.Hits, cs.DSL.Misses + cs.AntiDDR.Misses}
 }
 
 // handleDebugQueries is the in-flight inspector plus recent-records view:

@@ -58,7 +58,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	act := s.flight.Begin("insert", "http", fmt.Sprintf("id=%d point=%v", req.ID, req.Point), 0)
 	act.SetAdmission("bypass")
 	var qerr error
-	defer func() { s.finishRecord(act, "insert", began, w, qerr, nil, [2]uint64{}) }()
+	defer func() { s.finishRecord(act, "insert", began, w, qerr) }()
 
 	seq, qerr := s.commitMutation(w, wal.OpInsert, it)
 	if qerr != nil {
@@ -117,7 +117,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	act := s.flight.Begin("delete", "http", fmt.Sprintf("id=%d", req.ID), 0)
 	act.SetAdmission("bypass")
 	var qerr error
-	defer func() { s.finishRecord(act, "delete", began, w, qerr, nil, [2]uint64{}) }()
+	defer func() { s.finishRecord(act, "delete", began, w, qerr) }()
 
 	seq, qerr := s.commitMutation(w, wal.OpDelete, stored)
 	if qerr != nil {

@@ -442,21 +442,20 @@ func (s *Server) failQuery(w http.ResponseWriter, err error) {
 
 // queryContext derives the execution context for one query request: the
 // request deadline (client ask clamped to the server cap), the fault-
-// injection hook when configured, and a trace. With the flight recorder on,
-// the record's own trace is used (always recording, sampled at Finish);
-// without it a trace exists only when the client asked for one.
+// injection hook when configured, and the request's flight record, whose
+// tally counts this request's work alone and whose trace records its spans
+// (always recording, sampled at Finish). Without the flight recorder a
+// trace exists only when the client asked for one.
 func (s *Server) queryContext(r *http.Request, timeoutMS int64, trace bool, op string, act *flight.Active) (context.Context, context.CancelFunc, *obs.Trace) {
 	ctx := r.Context()
 	if s.cfg.Hook != nil {
 		ctx = cancel.WithHook(ctx, s.cfg.Hook)
 	}
-	tr := act.Trace()
-	if tr == nil && trace {
-		tr = obs.NewTrace(op)
+	if act == nil && trace {
+		ctx = obs.WithTrace(ctx, obs.NewTrace(op))
 	}
-	if tr != nil {
-		ctx = obs.WithTrace(ctx, tr)
-	}
+	ctx = act.Context(ctx)
+	tr := obs.TraceFrom(ctx)
 	timeout := s.cfg.RequestTimeout
 	if timeoutMS > 0 {
 		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
@@ -530,11 +529,8 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 	act := s.flight.Begin("whynot", "http",
 		fmt.Sprintf("q=%v customer=%d", req.Q, req.CustomerID), snap.DB.Workers())
 	act.SetSnapshotSeq(snap.Seq)
-	cacheBefore := cacheCounts(snap)
 	var qerr error
-	defer func() {
-		s.finishRecord(act, "whynot", began, w, qerr, snap, cacheBefore)
-	}()
+	defer func() { s.finishRecord(act, "whynot", began, w, qerr) }()
 
 	ctx, cancelCtx, tr := s.queryContext(r, req.TimeoutMS, req.Trace, "whynot", act)
 	defer cancelCtx()
@@ -548,7 +544,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 	// store needs the plan shape to classify the workload even when the
 	// client did not ask to see the tree (?explain=1 only controls whether
 	// the plan is attached to the response).
-	eb := explain.NewBuilder("whynot", snap.DB.Dims(), s.explainModel, snap.DB.Engine().DB.Tree())
+	eb := explain.NewBuilder("whynot", snap.DB.Dims(), s.explainModel)
 	ctx = explain.With(ctx, eb)
 
 	q := repro.NewPoint(req.Q...)
@@ -638,11 +634,8 @@ func (s *Server) handleRSkyline(w http.ResponseWriter, r *http.Request) {
 
 	act := s.flight.Begin("rskyline", "http", fmt.Sprintf("q=%v", req.Q), snap.DB.Workers())
 	act.SetSnapshotSeq(snap.Seq)
-	cacheBefore := cacheCounts(snap)
 	var qerr error
-	defer func() {
-		s.finishRecord(act, "rskyline", began, w, qerr, snap, cacheBefore)
-	}()
+	defer func() { s.finishRecord(act, "rskyline", began, w, qerr) }()
 
 	ctx, cancelCtx, tr := s.queryContext(r, req.TimeoutMS, false, "rskyline", act)
 	defer cancelCtx()

@@ -80,27 +80,22 @@ func (g *GlobalSkyline) Dominates(c Item) (dominated bool, tests int) {
 	return false, tests
 }
 
-// GlobalSkylineBBS computes the global skyline with respect to q by
+// GlobalSkylineBBSChecked computes the global skyline with respect to q by
 // branch-and-bound over the R*-tree, in the style of the BBRS algorithm of
 // Dellis & Seeger (VLDB 2007): nodes are visited in ascending transformed
 // mindist order and a subtree is pruned when it lies entirely inside one
 // closed orthant around q and an already-found global-skyline point of that
 // orthant dominates its transformed lower corner. Subtrees straddling an
 // orthant boundary are never pruned (they are near q and cheap to expand).
-//
 // It touches only the part of the index that can contain global-skyline
-// points.
-func GlobalSkylineBBS(t *rtree.Tree, q geom.Point) []Item {
-	gs, _ := GlobalSkylineBBSChecked(nil, t, q)
-	return gs.Members
-}
-
-// GlobalSkylineBBSChecked is GlobalSkylineBBS with cooperative cancellation:
-// the checker fires on every node/item expansion of the branch-and-bound
-// loop, and a cancelled traversal returns the context's error with a nil
-// result. The result also answers global-dominance tests against its
+// points. The result also answers global-dominance tests against its
 // members (Dominates).
-func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (*GlobalSkyline, error) {
+//
+// The checker (nil for none) fires on every node/item expansion of the
+// branch-and-bound loop, and a cancelled traversal returns the context's
+// error with a nil result. Node visits, dominance tests and discards are
+// counted into c.
+func GlobalSkylineBBSChecked(chk *cancel.Checker, c *obs.Counts, t *rtree.Tree, q geom.Point) (*GlobalSkyline, error) {
 	d := len(q)
 	gs := &GlobalSkyline{q: q, byOrthant: make([][]dominator, 1<<d), tr: make(geom.Point, d)}
 
@@ -151,7 +146,7 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 	}
 
 	err := t.BestFirstChecked(
-		chk,
+		chk, c,
 		// The transformed coordinate sums, as in DynamicBBSExcludingChecked.
 		func(p geom.Point) float64 { return p.L1(q) },
 		func(r geom.Rect) float64 { return r.MinDistL1(q) },
@@ -177,8 +172,8 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) (
 			return true
 		},
 	)
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
+	c.DominanceTests += uint64(dt)
+	c.PrunedEntries += uint64(pruned)
 	if err != nil {
 		return nil, err
 	}

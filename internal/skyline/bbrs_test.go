@@ -21,7 +21,7 @@ func TestGlobalSkylineBBSMatchesScan(t *testing.T) {
 					q[d] = rng.Float64() * 100
 				}
 				want := idSet(naiveGlobalSkyline(items, q))
-				gs, _ := GlobalSkylineBBSChecked(nil, tr, q)
+				gs, _ := GlobalSkylineBBSChecked(nil, new(obs.Counts), tr, q)
 				got := idSet(gs.Members)
 				if len(got) != len(want) {
 					t.Fatalf("dims=%d seed=%d: BBS=%d scan=%d", dims, seed, len(got), len(want))
@@ -50,7 +50,7 @@ func TestGlobalSkylineBBSQueryOnDataPoint(t *testing.T) {
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	q := items[42].Point
 	want := idSet(naiveGlobalSkyline(items, q))
-	got := idSet(GlobalSkylineBBS(tr, q))
+	got := idSet(globalSkylineBBS(tr, q))
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%d scan=%d", len(got), len(want))
 	}
@@ -77,7 +77,7 @@ func TestGlobalSkylineBBSAxisTies(t *testing.T) {
 	}
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	want := idSet(naiveGlobalSkyline(items, q))
-	got := idSet(GlobalSkylineBBS(tr, q))
+	got := idSet(globalSkylineBBS(tr, q))
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%v scan=%v", got, want)
 	}
@@ -104,29 +104,33 @@ func TestBranchAndBoundAccessEfficiency(t *testing.T) {
 
 	q := geom.NewPoint(500, 500)
 	tr.ResetAccesses()
-	GlobalSkylineBBS(tr, q)
+	globalSkylineBBS(tr, q)
 	gsb := tr.Accesses()
 	if gsb <= 0 || gsb >= total {
 		t.Errorf("GlobalSkylineBBS touched %d of %d nodes", gsb, total)
 	}
 
 	tr.ResetAccesses()
-	DynamicBBS(tr, q)
+	dynamicBBS(tr, q)
 	dsl := tr.Accesses()
 	if dsl <= 0 || dsl > total/3 {
 		t.Errorf("DynamicBBS touched %d of %d nodes; expected a small fraction", dsl, total)
 	}
 }
 
-// GlobalSkylineBBS counts the items it discards by dominance into the
+// GlobalSkylineBBSChecked counts the items it discards by dominance into the
 // pruned-entries cost counter: some on any sizeable input, and never more
 // than the non-members.
 func TestGlobalSkylineBBSCountsDiscards(t *testing.T) {
 	items := randItems(20000, 2, 951)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	before := obs.Cost().PrunedEntries
-	sky := GlobalSkylineBBS(tr, geom.NewPoint(50, 50))
-	got := obs.Cost().PrunedEntries - before
+	var c obs.Counts
+	gs, err := GlobalSkylineBBSChecked(nil, &c, tr, geom.NewPoint(50, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sky := gs.Members
+	got := c.PrunedEntries
 	if got == 0 || got > uint64(len(items)-len(sky)) {
 		t.Fatalf("counted %d discarded items; want 1..%d", got, len(items)-len(sky))
 	}

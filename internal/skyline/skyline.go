@@ -10,6 +10,7 @@
 package skyline
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/cancel"
@@ -45,7 +46,8 @@ func zeroPoint(p geom.Point) bool {
 // BBS computes the static skyline with the branch-and-bound skyline algorithm
 // over an R*-tree: best-first traversal by coordinate-sum mindist with
 // dominance pruning. It accesses only the nodes that can contain skyline
-// points.
+// points. Having no caller context, it flushes its counts to the
+// process-global counters only.
 func BBS(t *rtree.Tree) []Item {
 	var sky []Item
 	dt := 0 // point-point only; the rect prune below is not a dominance test
@@ -74,8 +76,9 @@ func BBS(t *rtree.Tree) []Item {
 			return true
 		},
 	)
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
+	obs.Flush(context.Background(), &obs.Counts{CostSnapshot: obs.CostSnapshot{
+		DominanceTests: uint64(dt), PrunedEntries: uint64(pruned),
+	}})
 	return sky
 }
 
@@ -83,7 +86,8 @@ func BBS(t *rtree.Tree) []Item {
 // (Definition 2) by transforming every point with f_i(p) = |c_i − p_i| and
 // running SFS in the transformed space. Returned items keep their original
 // coordinates. An item whose point equals c exactly maps to the origin of
-// the transformed space and dominates everything else.
+// the transformed space and dominates everything else. Like BBS, it flushes
+// its counts to the process-global counters only.
 func Dynamic(items []Item, c geom.Point) []Item {
 	type ti struct {
 		orig Item
@@ -112,8 +116,9 @@ func Dynamic(items []Item, c geom.Point) []Item {
 			pruned++
 		}
 	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
+	obs.Flush(context.Background(), &obs.Counts{CostSnapshot: obs.CostSnapshot{
+		DominanceTests: uint64(dt), PrunedEntries: uint64(pruned),
+	}})
 	out := make([]Item, len(sky))
 	for i, s := range sky {
 		out[i] = s.orig
@@ -121,36 +126,27 @@ func Dynamic(items []Item, c geom.Point) []Item {
 	return out
 }
 
-// DynamicBBS computes the dynamic skyline with respect to centre c by
+// DynamicBBSChecked computes the dynamic skyline with respect to centre c by
 // branch-and-bound over the R*-tree, pruning subtrees whose transformed
 // bounding boxes are dominated by an already-found skyline point. This is
 // the index-backed DSL computation the paper's safe-region construction
-// relies on.
-func DynamicBBS(t *rtree.Tree, c geom.Point) []Item {
-	return DynamicBBSExcluding(t, c, noExclude)
+// relies on. The checker (nil for none) and the counts are as in
+// DynamicBBSExcludingChecked.
+func DynamicBBSChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.Tree, c geom.Point) ([]Item, error) {
+	return DynamicBBSExcludingChecked(chk, cnt, t, c, noExclude)
 }
 
 // noExclude is an ID no real item carries, making the exclusion filter inert.
 const noExclude = -1 << 62
 
-// DynamicBBSChecked is DynamicBBS with cooperative cancellation.
-func DynamicBBSChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point) ([]Item, error) {
-	return DynamicBBSExcludingChecked(chk, t, c, noExclude)
-}
-
-// DynamicBBSExcluding is DynamicBBS with one record made invisible by ID —
-// the monochromatic convention under which a customer's own product record
-// does not shape its dynamic skyline. The excluded item neither appears in
-// the result nor prunes other points.
-func DynamicBBSExcluding(t *rtree.Tree, c geom.Point, excludeID int) []Item {
-	out, _ := DynamicBBSExcludingChecked(nil, t, c, excludeID)
-	return out
-}
-
-// DynamicBBSExcludingChecked is DynamicBBSExcluding with cooperative
-// cancellation at node-expansion granularity; a cancelled traversal returns
-// the context's error and a nil (not partial) skyline.
-func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point, excludeID int) ([]Item, error) {
+// DynamicBBSExcludingChecked is DynamicBBSChecked with one record made
+// invisible by ID — the monochromatic convention under which a customer's
+// own product record does not shape its dynamic skyline. The excluded item
+// neither appears in the result nor prunes other points. The checker (nil
+// for none) fires at node-expansion granularity; a cancelled traversal
+// returns the context's error and a nil (not partial) skyline. Node visits,
+// dominance tests and discards are counted into cnt.
+func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.Tree, c geom.Point, excludeID int) ([]Item, error) {
 	type skyPoint struct {
 		orig Item
 		tr   geom.Point
@@ -177,7 +173,7 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point
 	dt := 0
 	pruned := 0
 	err := t.BestFirstChecked(
-		chk,
+		chk, cnt,
 		// Σ|c_i − x_i| over the point, and its minimum over the box: the
 		// coordinate sums of the transformed point and transformed lower
 		// corner, without materialising either.
@@ -201,8 +197,8 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point
 			return true
 		},
 	)
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
+	cnt.DominanceTests += uint64(dt)
+	cnt.PrunedEntries += uint64(pruned)
 	if err != nil {
 		return nil, err
 	}

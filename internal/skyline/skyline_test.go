@@ -7,11 +7,24 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 )
 
 // fig1Points is the running-example dataset of the paper (Fig. 1a), in
 // (price K$, mileage Kmi).
+// dynamicBBS and globalSkylineBBS run the checked traversals with no
+// checker, counting into a fresh Counts.
+func dynamicBBS(t *rtree.Tree, c geom.Point) []Item {
+	out, _ := DynamicBBSChecked(nil, new(obs.Counts), t, c)
+	return out
+}
+
+func globalSkylineBBS(t *rtree.Tree, q geom.Point) []Item {
+	gs, _ := GlobalSkylineBBSChecked(nil, new(obs.Counts), t, q)
+	return gs.Members
+}
+
 func fig1Points() []Item {
 	coords := [][2]float64{
 		{5, 30},   // pt1
@@ -75,7 +88,7 @@ func staticSkylines(dims int, items []Item) map[string][]Item {
 	return map[string][]Item{
 		"BBS":        BBS(tr),
 		"Dynamic":    Dynamic(items, origin),
-		"DynamicBBS": DynamicBBS(tr, origin),
+		"DynamicBBS": dynamicBBS(tr, origin),
 	}
 }
 
@@ -87,7 +100,7 @@ func TestDynamicSkylinePaperExampleQ(t *testing.T) {
 	q := geom.NewPoint(8.5, 55)
 	sameIDs(t, Dynamic(items, q), 2, 6)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	sameIDs(t, DynamicBBS(tr, q), 2, 6)
+	sameIDs(t, dynamicBBS(tr, q), 2, 6)
 }
 
 // Paper §I: the dynamic skyline of c2 = pt2 over {pt1, pt3..pt8} is
@@ -195,7 +208,7 @@ func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 			"insertDelete": churnedTree(dims, items, rtree.Config{MaxEntries: 6, MinEntries: 2}, rng),
 		}
 		for name, tr := range trees {
-			sameIDsNamed(t, fmt.Sprintf("trial %d DynamicBBS, %s tree", trial, name), DynamicBBS(tr, c), want...)
+			sameIDsNamed(t, fmt.Sprintf("trial %d DynamicBBS, %s tree", trial, name), dynamicBBS(tr, c), want...)
 		}
 	}
 }
@@ -342,7 +355,7 @@ func TestGlobalDominanceSoundness(t *testing.T) {
 func TestGlobalSkylineSuperset(t *testing.T) {
 	items := randItems(200, 2, 31)
 	q := geom.NewPoint(50, 50)
-	gs := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
+	gs := idSet(globalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	// Every dynamic skyline point must be in the global skyline.
 	for _, it := range Dynamic(items, q) {
 		if !gs[it.ID] {
@@ -440,7 +453,7 @@ func TestGlobalSkylineMatchesNaive(t *testing.T) {
 			q[d] = rng.Float64() * 100
 		}
 		want := idSet(naiveGlobalSkyline(items, q))
-		got := idSet(GlobalSkylineBBS(rtree.BulkLoad(dims, items, rtree.Config{}), q))
+		got := idSet(globalSkylineBBS(rtree.BulkLoad(dims, items, rtree.Config{}), q))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: fast=%d naive=%d", trial, len(got), len(want))
 		}
@@ -462,7 +475,7 @@ func TestGlobalSkylineBoundaryPoints(t *testing.T) {
 		{ID: 4, Point: geom.NewPoint(3, 5)}, // on the horizontal axis, dist (2,0)
 	}
 	want := idSet(naiveGlobalSkyline(items, q))
-	got := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
+	got := idSet(globalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	if len(got) != len(want) {
 		t.Fatalf("fast=%v naive=%v", got, want)
 	}
@@ -507,7 +520,7 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 		return true
 	}
 	gs := idSet(naiveGlobalSkyline(items, q))
-	bbs := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
+	bbs := idSet(globalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	members := 0
 	for _, c := range items {
 		if !inRSL(c) {
@@ -542,15 +555,15 @@ func TestDynamicBBSAllocsScaleWithSkyline(t *testing.T) {
 	items := randItems(20000, dims, 7)
 	tr := rtree.BulkLoad(dims, items, rtree.Config{})
 	c := geom.NewPoint(37, 37, 37)
-	sky := DynamicBBS(tr, c)
+	sky := dynamicBBS(tr, c)
 	tr.ResetAccesses()
-	DynamicBBS(tr, c)
+	dynamicBBS(tr, c)
 	nodes := tr.Accesses()
 	bound := 2*len(sky) + 32
 	if nodes <= bound {
 		t.Fatalf("test tree too small: %d node visits against an allocation bound of %d", nodes, bound)
 	}
-	allocs := testing.AllocsPerRun(10, func() { DynamicBBS(tr, c) })
+	allocs := testing.AllocsPerRun(10, func() { dynamicBBS(tr, c) })
 	if allocs > float64(bound) {
 		t.Fatalf("DynamicBBS: %.0f allocations for a %d-point skyline over %d node visits; want at most %d",
 			allocs, len(sky), nodes, bound)

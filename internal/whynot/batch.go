@@ -28,9 +28,9 @@ func (e *Engine) MWQBatchCtx(ctx context.Context, cts []Item, q geom.Point, rsl 
 		return nil, err
 	}
 	out := make([]MWQResult, len(cts))
-	// The questions share ctx's trace (span recording is safe for concurrent
-	// writers) but not its explain builder: the plan shape must not depend on
-	// the number of questions.
+	// The questions run hidden: neither the plan shape nor the trace may
+	// depend on the number of questions. Their work is still counted, in the
+	// query's tally.
 	err = exec.ForEach(explain.Hide(ctx), len(cts), e.DB.Workers(), cancel.SiteBatchItem, func(ctx context.Context, i int) error {
 		res, err := e.mwq(ctx, cts[i], q, sr, opt)
 		out[i] = res

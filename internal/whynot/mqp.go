@@ -45,8 +45,8 @@ func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	if err != nil {
 		return MQPResult{}, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "mqp")
-	defer endPhase()
+	ctx, sp := explain.Phase(ctx, "mqp", explain.RuleNone)
+	defer sp.End()
 	frontier, err := e.DB.WindowFrontierCtx(ctx, ct.Point, q, ct.Point, e.exclude(ct))
 	if err != nil {
 		return MQPResult{}, err
@@ -107,7 +107,7 @@ func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 		p := geom.UnTransform(ct.Point, m, q)
 		cands = append(cands, Candidate{Point: p, Cost: e.costQ(q, p, opt)})
 	}
-	obs.AddCandidateEvaluations(len(cands))
+	obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{CandidateEvaluations: uint64(len(cands))}})
 	sortCandidates(cands)
 	return MQPResult{Frontier: frontier, Candidates: dedupCandidates(cands)}, nil
 }

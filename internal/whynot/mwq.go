@@ -76,16 +76,14 @@ func (e *Engine) MWQCtx(ctx context.Context, ct Item, q geom.Point, sr region.Se
 	return e.mwq(ctx, ct, q, sr, opt)
 }
 
-// mwq runs Algorithm 4: ctx's trace records the span timeline and its
-// explain builder the plan tree. Per-corner MWP calls deliberately run with
-// the builder hidden — a plan tree that grew one subtree per corner would
-// make the plan shape (and so the query fingerprint) depend on the corner
-// count instead of the pipeline structure; the corners node aggregates them.
+// mwq runs Algorithm 4 as the mwq phase and its mwq.overlap and mwq.corners
+// children. Per-corner MWP calls deliberately run hidden (explain.Hide) — a
+// plan tree that grew one subtree per corner would make the plan shape (and
+// so the query fingerprint) depend on the corner count instead of the
+// pipeline structure; the corners phase aggregates them.
 func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
 	tr := obs.TraceFrom(ctx)
-	eb := explain.From(ctx)
-	defer tr.StartSpan("mwq")()
-	spM := eb.Start("mwq", explain.RuleNone)
+	ctx, spM := explain.Phase(ctx, "mwq", explain.RuleNone)
 	defer spM.End()
 	member, err := e.DB.WindowExistsCtx(ctx, ct.Point, q, e.exclude(ct))
 	if err != nil {
@@ -102,9 +100,9 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 			CtCandidates:  []Candidate{{Point: ct.Point.Clone(), Cost: 0}},
 		}, nil
 	}
-	spO := eb.Start("mwq.overlap", explain.RuleSafeRegion)
+	octx, spO := explain.Phase(ctx, "mwq.overlap", explain.RuleSafeRegion)
 	spO.SetIn(len(sr))
-	antiDDR, err := e.antiDDROf(ctx, ct)
+	antiDDR, err := e.antiDDROf(octx, ct)
 	if err != nil {
 		spO.End()
 		return MWQResult{}, err
@@ -124,7 +122,7 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 			p := r.NearestPoint(q)
 			cands = append(cands, Candidate{Point: p, Cost: e.costQ(q, p, opt)})
 		}
-		obs.AddCandidateEvaluations(len(cands))
+		obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{CandidateEvaluations: uint64(len(cands))}})
 		sortCandidates(cands)
 		cands = dedupCandidates(cands)
 		return MWQResult{
@@ -151,10 +149,11 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 	// cost(MWQ) ≤ cost(MWP) property even when every corner is worse.
 	corners := append(positiveRects(sr).Corners(), q.Clone())
 	tr.Eventf("mwq.case", "C2 disjoint: %d safe-region corners", len(corners))
-	obs.AddSafeRegionVertices(len(corners))
-	spC := eb.Start("mwq.corners", explain.RuleMidpoint)
+	ctx, spC := explain.Phase(ctx, "mwq.corners", explain.RuleMidpoint)
 	spC.SetIn(len(corners))
 	defer spC.End()
+	cnt := obs.Counts{CostSnapshot: obs.CostSnapshot{SafeRegionVertices: uint64(len(corners))}}
+	defer obs.Flush(ctx, &cnt)
 	type scored struct {
 		pt geom.Point
 		tr geom.Point
@@ -166,14 +165,13 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 	// Keep corners whose transformed image is not dominated (Algorithm 4
 	// steps 11–13).
 	var qCands []scored
-	dt := 0
 	for a, sa := range ts {
 		dominated := false
 		for b, sb := range ts {
 			if a == b {
 				continue
 			}
-			dt++
+			cnt.DominanceTests++
 			if sb.tr.Dominates(sa.tr) {
 				dominated = true
 				break
@@ -186,10 +184,8 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 			qCands = append(qCands, sa)
 		}
 	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(len(ts) - len(qCands))
+	cnt.PrunedEntries = uint64(len(ts) - len(qCands))
 
-	endCorners := tr.StartSpan("mwq.corners")
 	_, chk := cancel.Bind(ctx)
 	cctx := explain.Hide(ctx)
 	bestCost := math.Inf(1)
@@ -198,12 +194,10 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 	var qEvaluated []Candidate
 	for _, qc := range qCands {
 		if err := chk.Point(cancel.SiteMWQCorner); err != nil {
-			endCorners()
 			return MWQResult{}, err
 		}
 		res, err := e.mwp(cctx, ct, qc.pt, opt)
 		if err != nil {
-			endCorners()
 			return MWQResult{}, err
 		}
 		cost := res.Best().Cost
@@ -214,8 +208,7 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 			bestCt = res.Candidates
 		}
 	}
-	endCorners()
-	obs.AddCandidateEvaluations(len(qEvaluated))
+	cnt.CandidateEvaluations = uint64(len(qEvaluated))
 	spC.SetOut(len(qEvaluated))
 	sort.SliceStable(qEvaluated, func(a, b int) bool { return qEvaluated[a].Cost < qEvaluated[b].Cost })
 	return MWQResult{

@@ -36,24 +36,22 @@ func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (r
 }
 
 // safeRegionPhase runs safeRegion as one query phase, named after its
-// construction ("saferegion.exact" or "saferegion.approx"): a trace span and
-// pprof label (obs.StartPhase) plus a plan node counting the members in and
-// the rectangles out. Every safe-region caller opens the phase here, so it
-// reads the same at every worker count.
+// construction ("saferegion.exact" or "saferegion.approx"), whose plan node
+// counts the members in and the rectangles out. Every safe-region caller
+// opens the phase here, and its workers run under the phase's context, so
+// it reads the same at every worker count.
 func (e *Engine) safeRegionPhase(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
 	name := "saferegion.exact"
 	if store != nil {
 		name = "saferegion.approx"
 	}
-	lctx, endPhase := obs.StartPhase(ctx, name)
-	defer endPhase()
-	sp := explain.From(ctx).Start(name, explain.RuleSafeRegion)
+	ctx, sp := explain.Phase(ctx, name, explain.RuleSafeRegion)
+	defer sp.End()
 	sp.SetIn(len(rsl))
-	sr, err := e.safeRegion(lctx, q, rsl, store)
+	sr, err := e.safeRegion(ctx, q, rsl, store)
 	if err == nil {
 		sp.SetOut(len(sr))
 	}
-	sp.End()
 	return sr, err
 }
 
@@ -112,21 +110,28 @@ func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store
 // antiDDRCached computes the anti-dominance region of customer c against the
 // current universe, through the engine's anti-DDR cache when one is enabled.
 // A hit must match the customer's position and the current database
-// generation; anything else recomputes and refreshes the entry. The returned
-// set may be shared — callers must not modify it in place.
+// generation; anything else recomputes and refreshes the entry. The
+// lookup's outcome is counted with the query's other work. The returned set
+// may be shared — callers must not modify it in place.
 func (e *Engine) antiDDRCached(ctx context.Context, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
 	if e.addr == nil {
 		return e.antiDDRCompute(ctx, c, universe, poll)
 	}
+	var cnt obs.Counts
+	defer obs.Flush(ctx, &cnt)
 	gen := e.DB.Generation()
-	if ent, ok := e.addr.Get(c.ID); ok {
+	ent, ok := e.addr.Get(c.ID)
+	if !ok {
+		cnt.CacheMisses++
+	} else {
+		cnt.CacheHits++
 		if ent.gen == gen && ent.point.Equal(c.Point) {
 			return ent.set, nil
 		}
 		// The entry was found but fails validation: a hit that cannot be
 		// served. Reclassify it so hit rates stay honest.
 		e.addr.MarkStale()
-		obs.AddCacheStale(1)
+		cnt.CacheStale++
 	}
 	set, err := e.antiDDRCompute(ctx, c, universe, poll)
 	if err != nil {

@@ -143,14 +143,12 @@ func (e *Engine) ExplainCtx(ctx context.Context, ct Item, q geom.Point) ([]Item,
 	if err != nil {
 		return nil, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "explain")
-	defer endPhase()
-	sp := explain.From(ctx).Start("explain.window", explain.RuleDSLWindow)
+	ctx, sp := explain.Phase(ctx, "explain.window", explain.RuleDSLWindow)
+	defer sp.End()
 	out, err := e.DB.WindowQueryCtx(ctx, ct.Point, q, e.exclude(ct))
 	if err == nil {
 		sp.SetOut(len(out))
 	}
-	sp.End()
 	return out, err
 }
 
@@ -201,19 +199,16 @@ func (e *Engine) MWPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	if err != nil {
 		return MWPResult{}, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "mwp")
-	defer endPhase()
-	sp := explain.From(ctx).Start("mwp", explain.RuleNone)
+	ctx, sp := explain.Phase(ctx, "mwp", explain.RuleNone)
 	defer sp.End()
 	return e.mwp(ctx, ct, q, opt)
 }
 
-// mwp runs Algorithm 1 without opening a phase of its own; the plan nodes go
-// to ctx's explain builder, if any.
+// mwp runs Algorithm 1 as its two phases, mwp.frontier and mwp.candidates,
+// without an enclosing phase of its own.
 func (e *Engine) mwp(ctx context.Context, ct Item, q geom.Point, opt Options) (MWPResult, error) {
-	eb := explain.From(ctx)
-	spF := eb.Start("mwp.frontier", explain.RuleDSLWindow)
-	frontier, err := e.DB.WindowFrontierCtx(ctx, ct.Point, q, q, e.exclude(ct))
+	fctx, spF := explain.Phase(ctx, "mwp.frontier", explain.RuleDSLWindow)
+	frontier, err := e.DB.WindowFrontierCtx(fctx, ct.Point, q, q, e.exclude(ct))
 	if err != nil {
 		spF.End()
 		return MWPResult{}, err
@@ -226,7 +221,7 @@ func (e *Engine) mwp(ctx context.Context, ct Item, q geom.Point, opt Options) (M
 			Candidates:    []Candidate{{Point: ct.Point.Clone(), Cost: 0}},
 		}, nil
 	}
-	spC := eb.Start("mwp.candidates", explain.RuleMidpoint)
+	ctx, spC := explain.Phase(ctx, "mwp.candidates", explain.RuleMidpoint)
 	spC.SetIn(len(frontier))
 	defer spC.End()
 
@@ -305,7 +300,7 @@ func (e *Engine) mwp(ctx context.Context, ct Item, q geom.Point, opt Options) (M
 		p := flip(m, dir)
 		cands = append(cands, Candidate{Point: p, Cost: e.costC(ct.Point, p, opt)})
 	}
-	obs.AddCandidateEvaluations(len(cands))
+	obs.Flush(ctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{CandidateEvaluations: uint64(len(cands))}})
 	sortCandidates(cands)
 	deduped := dedupCandidates(cands)
 	spC.SetOut(len(deduped))

@@ -299,19 +299,21 @@ func (db *DB) StartTrace(ctx context.Context, op string) (context.Context, *Quer
 func TraceFromContext(ctx context.Context) *QueryTrace { return obs.TraceFrom(ctx) }
 
 // StartExplain opens a plan-tree profile for one query: run any XxxContext
-// method with the returned context and the instrumented layers (window
+// method with the returned context and every phase the query runs (window
 // queries, MWP candidate generation, safe-region folds, MWQ corner
-// enumeration) record plan nodes with candidate counts, pruning rules,
-// R-tree accesses and estimated-vs-actual cost. The finish func closes the
-// plan — pass the degradation rung that answered ("exact", "approx", ...; ""
-// when no ladder is involved) — feeds the query-fingerprint regression
-// store, and returns the plan for rendering or inspection.
+// enumeration, ladder rungs) becomes a plan node with candidate counts,
+// pruning rules, R-tree accesses and estimated-vs-actual cost. Each node
+// counts its own query's work only, through the context. The finish func
+// closes the plan — pass the degradation rung that answered ("exact",
+// "approx", ...; "" when no ladder is involved) — feeds the
+// query-fingerprint regression store, and returns the plan for rendering or
+// inspection.
 //
 // Available regardless of DBOptions.Observability: the per-node cost model
 // and fingerprint store are always on, and a query that never calls
-// StartExplain pays only a nil context check per instrumentation hook.
+// StartExplain pays only a nil context check per phase.
 func (db *DB) StartExplain(ctx context.Context, op string) (context.Context, func(rung string) *ExplainPlan) {
-	b := explain.NewBuilder(op, db.Dims(), db.explainModel, db.engine.DB.Tree())
+	b := explain.NewBuilder(op, db.Dims(), db.explainModel)
 	ctx = explain.With(ctx, b)
 	fctx := ctx
 	return ctx, func(rung string) *ExplainPlan {
@@ -356,9 +358,10 @@ func (db *DB) MWPExplain(ctx context.Context, ct Item, q Point, opt Options) (MW
 // XxxContext twin, so both forms report alike. Worker-pool metrics ride the
 // context into every exec.ForEach fan-out below. The per-op counter and
 // latency histogram are recorded by the returned finish func (nil-safe when
-// off), and with the flight recorder on each entry gets its own QueryRecord
-// whose trace rides the context (unless the caller already supplied one). A
-// nil context is treated as context.Background().
+// off), and with the flight recorder on each entry gets its own QueryRecord,
+// whose tally and trace ride the context (the record adopts a trace the
+// caller already supplied). A nil context is treated as
+// context.Background().
 func (db *DB) obsCtx(ctx context.Context, op string) (context.Context, func()) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -372,9 +375,7 @@ func (db *DB) obsCtx(ctx context.Context, op string) (context.Context, func()) {
 		ctx = obs.WithExecMetrics(ctx, db.pool)
 	}
 	act := db.flight.Begin(op, "db", "", db.Workers())
-	if act != nil && obs.TraceFrom(ctx) == nil {
-		ctx = obs.WithTrace(ctx, act.Trace())
-	}
+	ctx = act.Context(ctx)
 	fctx := ctx
 	return ctx, func() {
 		db.queryDur.ObserveSince(start)
@@ -390,7 +391,8 @@ func (db *DB) FlightRecorder() *flight.Ledger { return db.flight }
 
 // Cost is a point-in-time snapshot of the paper's cost metrics: the
 // process-global algorithm counters plus this DB's R-tree I/O counters.
-// Subtract two snapshots to attribute cost to one query or workload.
+// Subtract two snapshots to measure a workload run alone; a query's own
+// counts, exact while others run, are in its flight record and plan.
 type Cost struct {
 	obs.CostSnapshot
 	NodeAccesses uint64 `json:"node_accesses"`

@@ -314,6 +314,35 @@ func TestBothFormsTraceAlike(t *testing.T) {
 	}
 }
 
+// TestCallerTracedRecordKeepsSpans: a query run under the caller's own
+// trace (StartTrace) still gets a flight record with its phase spans — the
+// record adopts the caller's trace instead of keeping an unused one.
+func TestCallerTracedRecordKeepsSpans(t *testing.T) {
+	items := fig1()
+	q := NewPoint(8.5, 55)
+	ct := items[6]
+	db := NewDBWithOptions(2, items, DBOptions{Observability: true, FlightSize: 4})
+	led := db.FlightRecorder()
+	rsl := db.ReverseSkyline(items, q)
+	for (led.Totals().Started+1)%64 != 0 { // head-sample the traced call
+		must(db.ReverseSkylineContext(context.Background(), items, q))
+	}
+	ctx, tr := db.StartTrace(context.Background(), "mwq")
+	must(db.MWQExactContext(ctx, ct, q, rsl, Options{}))
+	rec := led.Recent(1)[0]
+	var names []string
+	for _, sp := range rec.Trace {
+		names = append(names, sp.Name)
+	}
+	var callerNames []string
+	for _, sp := range tr.Spans() {
+		callerNames = append(callerNames, sp.Name)
+	}
+	if !rec.Sampled || len(names) == 0 || !slices.Equal(names, callerNames) {
+		t.Fatalf("record spans %v (sampled %v), caller's trace %v; want the same non-empty list", names, rec.Sampled, callerNames)
+	}
+}
+
 // TestSharedContextAcrossGoroutines shares one cancellable, hooked context
 // between goroutines that all query one fanned-out DB, and cancels it
 // mid-flight. Each goroutine binds its own checker under the shared context,

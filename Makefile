@@ -180,6 +180,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/whynot -run FuzzLoadApproxStore -fuzz FuzzLoadApproxStore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/whynot -run FuzzMWPMQP -fuzz FuzzMWPMQP -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/whynot -run FuzzSafeRegionWindowed -fuzz FuzzSafeRegionWindowed -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run FuzzDecodeRequests -fuzz FuzzDecodeRequests -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/region -run FuzzStaircaseCorners -fuzz FuzzStaircaseCorners -fuzztime $(FUZZTIME)

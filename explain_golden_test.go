@@ -74,8 +74,8 @@ func explainMWQGolden(t *testing.T, db *DB, items []Item, q Point, ct Item) {
 		t.Fatalf("case = C%d, want C2 (safe region cannot reach customer 1)", res.Case)
 	}
 	const want = `plan mwq dims=2 rung=exact fp=5f968168f11c7ae0
-  mwq acc=9 leaf=9 levels=[L0:9] rtree_pruned=24 dt=37 wq=3 cand=5 pruned=6
-    saferegion.exact rule=safe-region in=5 out=2 prune=60.0% acc=5 leaf=5 levels=[L0:5] rtree_pruned=19 dt=19 wq=0 cand=0 pruned=0
+  mwq acc=14 leaf=14 levels=[L0:14] rtree_pruned=33 dt=27 wq=3 cand=5 pruned=6
+    saferegion.exact rule=safe-region in=5 out=2 prune=60.0% acc=10 leaf=10 levels=[L0:10] rtree_pruned=28 dt=9 wq=0 cand=0 pruned=0
     mwq acc=4 leaf=4 levels=[L0:4] rtree_pruned=5 dt=18 wq=3 cand=5 pruned=6
       mwq.overlap rule=safe-region in=2 out=0 prune=100.0% acc=1 leaf=1 levels=[L0:1] rtree_pruned=5 dt=1 wq=0 cand=0 pruned=0
       mwq.corners rule=midpoint in=8 out=2 prune=75.0% acc=2 leaf=2 levels=[L0:2] dt=16 wq=2 cand=5 pruned=6

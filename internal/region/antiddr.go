@@ -233,16 +233,24 @@ func maximalPoints(pts []geom.Point) []geom.Point {
 // symmetric around c and may extend beyond the data range, exactly as in the
 // paper's worked example for c7.
 func AntiDDR(c geom.Point, dsl []geom.Point, universe geom.Rect) Set {
-	out, _ := AntiDDRChecked(c, dsl, universe, nil)
+	out, _ := AntiDDRChecked(c, dsl, universe, nil, nil)
 	return out
 }
 
-// AntiDDRChecked is AntiDDR with a cooperative-cancellation poll. The
-// corners come from the Fig. 10 staircase at d = 2 and from
-// localUpperBounds at d ≥ 3, which polls once per DSL point; the final
-// prune polls too. A nil poll restores the unpolled loops.
-func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, poll func() error) (Set, error) {
+// AntiDDRChecked is AntiDDR with an optional bound and a
+// cooperative-cancellation poll. A non-nil bound b clips the corners to
+// min(u, b), so the result is the anti-DDR intersected with the window
+// [c − b, c + b]. dsl must then lie inside that window, as a
+// window-constrained DSL traversal returns it; no DSL point outside the
+// window cuts a box inside it, so none is missing. The corners come from
+// the Fig. 10 staircase at d = 2 and from localUpperBounds at d ≥ 3, which
+// polls once per DSL point; the final prune polls too. A nil poll restores
+// the unpolled loops.
+func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, bound geom.Point, poll func() error) (Set, error) {
 	u := universe.TransformMinMax(c).Hi
+	if bound != nil {
+		u = u.Min(bound)
+	}
 	tr := make([]geom.Point, len(dsl))
 	for i, p := range dsl {
 		tr[i] = p.Transform(c)

@@ -14,6 +14,7 @@
 package region
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -52,12 +53,37 @@ func (s Set) Prune() Set {
 	return out
 }
 
+// prune keeps one copy of each containment-maximal rectangle of s, in a
+// total order: area descending, then margin descending, then lower corner
+// ascending and upper corner descending (each lexicographic). Area and
+// margin never shrink from a rectangle to one containing it, even in
+// floating point, so every rectangle comes after all rectangles containing
+// it, and the output is a function of the covered rectangles alone, not of
+// the input order. Only kept rectangles are copied.
 func (s Set) prune(poll func() error) (Set, error) {
-	// Larger rectangles first so that containment checks hit early.
-	sorted := s.Clone()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Area() > sorted[j].Area() })
+	type keyed struct {
+		area, margin float64
+		r            geom.Rect
+	}
+	ks := make([]keyed, len(s))
+	for i, r := range s {
+		ks[i] = keyed{area: r.Area(), margin: r.Margin(), r: r}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		if a.area != b.area {
+			return a.area > b.area
+		}
+		if a.margin != b.margin {
+			return a.margin > b.margin
+		}
+		if c := slices.Compare(a.r.Lo, b.r.Lo); c != 0 {
+			return c < 0
+		}
+		return slices.Compare(a.r.Hi, b.r.Hi) > 0
+	})
 	var out Set
-	for _, r := range sorted {
+	for _, k := range ks {
 		if err := pollErr(poll); err != nil {
 			return nil, err
 		}
@@ -66,13 +92,13 @@ func (s Set) prune(poll func() error) (Set, error) {
 			if err := pollErr(poll); err != nil {
 				return nil, err
 			}
-			if kept.ContainsRect(r) {
+			if kept.ContainsRect(k.r) {
 				contained = true
 				break
 			}
 		}
 		if !contained {
-			out = append(out, r)
+			out = append(out, k.r.Clone())
 		}
 	}
 	return out, nil

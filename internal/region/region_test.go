@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -34,6 +35,53 @@ func TestPrune(t *testing.T) {
 	}
 	if !Equivalent(s, p) {
 		t.Fatal("pruning must preserve the region")
+	}
+}
+
+// TestPruneOrderIndependent: rectangles whose areas tie, including
+// zero-volume ones nested in each other and a positive rectangle one ulp
+// inside another (whose float areas and margins tie too), prune to one list,
+// the containment-maximal rectangles in the total order, whatever the input
+// order.
+func TestPruneOrderIndependent(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	in := Set{
+		rect(0, 10, 0, 14),    // zero volume
+		rect(0, 11, 0, 12),    // zero volume, inside the one above
+		rect(0, 13, 0, 13),    // a point on it
+		rect(0, 0, 1, 1),      // area 1
+		rect(tiny, 0, 1, 1),   // one ulp inside it: area 1 and margin 2 too
+		rect(5, 5, 6, 6),      // area 1, contains nothing and is not contained
+		rect(-3, -3, -3, 100), // zero volume, larger margin than the first
+	}
+	want := Set{rect(0, 0, 1, 1), rect(5, 5, 6, 6), rect(-3, -3, -3, 100), rect(0, 10, 0, 14)}
+	perm := make([]int, len(in))
+	for i := range perm {
+		perm[i] = i
+	}
+	n := 0
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(perm) {
+			n++
+			s := make(Set, len(in))
+			for i, j := range perm {
+				s[i] = in[j]
+			}
+			if got := s.Prune(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("order %v: Prune = %v, want %v", perm, got, want)
+			}
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			permute(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	permute(0)
+	if n != 5040 {
+		t.Fatalf("checked %d orders, want 7! = 5040", n)
 	}
 }
 
@@ -405,7 +453,7 @@ func TestAntiDDRCheckedStopsAtFirstPoll(t *testing.T) {
 	c := geom.NewPoint(5, 5, 5)
 	dsl := []geom.Point{geom.NewPoint(1, 6, 5), geom.NewPoint(6, 2, 7), geom.NewPoint(4, 4, 1)}
 	universe := geom.NewRect(geom.NewPoint(0, 0, 0), geom.NewPoint(10, 10, 10))
-	set, err := AntiDDRChecked(c, dsl, universe, func() error {
+	set, err := AntiDDRChecked(c, dsl, universe, nil, func() error {
 		calls++
 		return stop
 	})

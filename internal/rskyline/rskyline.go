@@ -451,23 +451,33 @@ func (db *DB) DynamicSkylineExcluding(c geom.Point, excludeID int) []Item {
 // record whose ID is excludeID (monochromatic convention). Pass NoExclude to
 // keep everything.
 func (db *DB) DynamicSkylineExcludingCtx(ctx context.Context, c geom.Point, excludeID int) ([]Item, error) {
+	return db.DynamicSkylineWithinCtx(ctx, c, excludeID, nil, 0)
+}
+
+// DynamicSkylineWithinCtx is DynamicSkylineExcludingCtx bounded as in
+// skyline.DynamicBBSExcludingChecked: a non-nil window keeps only the DSL
+// points within it in the space transformed around c (edges included), and
+// a positive limit stops after that many points. Each call counts one DSL
+// computation. It never reads or fills the DSL cache, which holds full
+// skylines only.
+func (db *DB) DynamicSkylineWithinCtx(ctx context.Context, c geom.Point, excludeID int, window geom.Point, limit int) ([]Item, error) {
 	var cnt obs.Counts
-	out, err := db.dynamicSkyline(ctx, &cnt, c, excludeID)
+	out, err := db.dynamicSkyline(ctx, &cnt, c, excludeID, window, limit)
 	obs.Flush(ctx, &cnt)
 	return out, err
 }
 
 // dynamicSkyline is one DSL computation under the tree read lock, counted
 // into cnt.
-func (db *DB) dynamicSkyline(ctx context.Context, cnt *obs.Counts, c geom.Point, excludeID int) ([]Item, error) {
+func (db *DB) dynamicSkyline(ctx context.Context, cnt *obs.Counts, c geom.Point, excludeID int, window geom.Point, limit int) ([]Item, error) {
 	_, chk := cancel.Bind(ctx)
 	cnt.DSLComputations++
+	if excludeID == NoExclude {
+		excludeID = skyline.NoExclude
+	}
 	db.treeMu.RLock()
 	defer db.treeMu.RUnlock()
-	if excludeID == NoExclude {
-		return skyline.DynamicBBSChecked(chk, cnt, db.tree, c)
-	}
-	return skyline.DynamicBBSExcludingChecked(chk, cnt, db.tree, c, excludeID)
+	return skyline.DynamicBBSExcludingChecked(chk, cnt, db.tree, c, excludeID, window, limit)
 }
 
 // DynamicSkylineOfCtx computes DSL(c.Point) excluding excludeID through the
@@ -495,7 +505,7 @@ func (db *DB) DynamicSkylineOfCtx(ctx context.Context, c Item, excludeID int) ([
 		db.dsl.MarkStale()
 		cnt.CacheStale++
 	}
-	out, err := db.dynamicSkyline(ctx, &cnt, c.Point, excludeID)
+	out, err := db.dynamicSkyline(ctx, &cnt, c.Point, excludeID, nil, 0)
 	if err != nil {
 		return nil, err
 	}

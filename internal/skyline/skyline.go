@@ -126,27 +126,32 @@ func Dynamic(items []Item, c geom.Point) []Item {
 	return out
 }
 
-// DynamicBBSChecked computes the dynamic skyline with respect to centre c by
-// branch-and-bound over the R*-tree, pruning subtrees whose transformed
-// bounding boxes are dominated by an already-found skyline point. This is
-// the index-backed DSL computation the paper's safe-region construction
-// relies on. The checker (nil for none) and the counts are as in
-// DynamicBBSExcludingChecked.
-func DynamicBBSChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.Tree, c geom.Point) ([]Item, error) {
-	return DynamicBBSExcludingChecked(chk, cnt, t, c, noExclude)
-}
+// NoExclude is an ID no real item carries: as DynamicBBSExcludingChecked's
+// excludeID it makes the exclusion filter inert.
+const NoExclude = -1 << 62
 
-// noExclude is an ID no real item carries, making the exclusion filter inert.
-const noExclude = -1 << 62
-
-// DynamicBBSExcludingChecked is DynamicBBSChecked with one record made
-// invisible by ID — the monochromatic convention under which a customer's
-// own product record does not shape its dynamic skyline. The excluded item
+// DynamicBBSExcludingChecked computes the dynamic skyline with respect to
+// centre c by branch-and-bound over the R*-tree, pruning subtrees whose
+// transformed bounding boxes are dominated by an already-found skyline
+// point. This is the index-backed DSL computation the paper's safe-region
+// construction relies on. The record whose ID is excludeID (NoExclude for
+// none) is invisible — the monochromatic convention under which a
+// customer's own product record does not shape its dynamic skyline: it
 // neither appears in the result nor prunes other points. The checker (nil
 // for none) fires at node-expansion granularity; a cancelled traversal
 // returns the context's error and a nil (not partial) skyline. Node visits,
-// dominance tests and discards are counted into cnt.
-func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.Tree, c geom.Point, excludeID int) ([]Item, error) {
+// dominance tests and discards are counted into cnt; boxes and points the
+// window cuts off count as tree prunes.
+//
+// A non-nil window bounds the traversal to the closed box [0, window] of
+// the transformed space: it returns the constrained skyline of BBS
+// (Papadias et al., TODS 2005), the DSL points p with |p − c| ≤ window in
+// every dimension. Points on the window's edge are kept. The result is
+// exactly DSL(c) restricted to the window, since a product that dominates a
+// point of the window lies in the window itself. A positive limit stops
+// the traversal after that many skyline points, the first ones in the
+// traversal's order of transformed coordinate sums.
+func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.Tree, c geom.Point, excludeID int, window geom.Point, limit int) ([]Item, error) {
 	type skyPoint struct {
 		orig Item
 		tr   geom.Point
@@ -158,10 +163,13 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.T
 	trR := geom.Rect{Lo: make(geom.Point, len(c)), Hi: make(geom.Point, len(c))}
 	tr := make(geom.Point, len(c))
 	prune := func(r geom.Rect) bool {
-		if len(sky) == 0 {
+		if len(sky) == 0 && window == nil {
 			return false
 		}
 		r.TransformMinMaxInto(c, trR)
+		if window != nil && !trR.Lo.WeaklyDominates(window) {
+			return true // some dimension lies wholly beyond the window
+		}
 		for _, s := range sky {
 			if s.tr.WeaklyDominates(trR.Lo) && !trR.Contains(s.tr) {
 				return true
@@ -194,7 +202,7 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.T
 			}
 			sky = append(sky, skyPoint{orig: it, tr: tr.Clone()})
 			out = append(out, it)
-			return true
+			return limit <= 0 || len(out) < limit
 		},
 	)
 	cnt.DominanceTests += uint64(dt)

@@ -16,7 +16,7 @@ import (
 // dynamicBBS and globalSkylineBBS run the checked traversals with no
 // checker, counting into a fresh Counts.
 func dynamicBBS(t *rtree.Tree, c geom.Point) []Item {
-	out, _ := DynamicBBSChecked(nil, new(obs.Counts), t, c)
+	out, _ := DynamicBBSExcludingChecked(nil, new(obs.Counts), t, c, NoExclude, nil, 0)
 	return out
 }
 

@@ -3,9 +3,14 @@ package whynot
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/cancel"
 	"repro/internal/geom"
+	"repro/internal/region"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
 )
@@ -111,4 +116,131 @@ func FuzzMWPMQP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSafeRegionWindowed checks the cache-free exact safe region, built in
+// two passes from window-constrained dynamic skylines, against a reference
+// that folds region.AntiDDR over each member's full DSL: the two rectangle
+// lists must be equal, in order. It also checks that each member's windowed
+// DSL is its full DSL restricted to the closed window, edges included. The
+// inputs are small integer datasets, where ties, duplicate products,
+// customers on products and DSL points on a window's edge are common. The
+// first byte picks d ∈ {2, 3, 4} and the setting (monochromatic or
+// bichromatic); the next d bytes give q; the rest are records of d + 1
+// bytes: a role (even for a product, odd for a customer; in the
+// monochromatic setting every record is a product and a customer) and d
+// coordinates. Every coordinate is reduced into [0, 7]. At most six
+// reverse-skyline members are used.
+func FuzzSafeRegionWindowed(f *testing.F) {
+	// Every seed but the last holds duplicate products, |RSL| ≥ 4 and DSL
+	// points on a member's window edge; the bichromatic ones have a customer
+	// on a product.
+	for _, seed := range [][]byte{
+		// d = 2, monochromatic, |RSL| = 6.
+		{3, 4, 6, 0, 0, 4, 0, 7, 3, 0, 6, 6, 1, 2, 7, 0, 1, 4, 1, 0, 1, 0, 5, 7, 0, 6, 4, 0, 4, 6, 1, 4, 6, 1, 2, 0, 0, 5, 5, 0, 1, 0, 1, 7, 0, 0, 4, 4},
+		// d = 2, monochromatic, |RSL| = 4.
+		{3, 5, 4, 1, 5, 7, 1, 3, 5, 0, 0, 5, 1, 0, 1, 0, 2, 1, 1, 1, 2, 1, 0, 6, 0, 1, 2, 1, 7, 1, 1, 4, 2},
+		// d = 2, bichromatic, |RSL| = 6.
+		{0, 1, 2, 1, 5, 0, 1, 0, 3, 0, 5, 3, 1, 5, 3, 0, 5, 4, 1, 2, 3, 0, 5, 4, 1, 1, 3, 1, 2, 1, 1, 2, 2, 1, 1, 3, 1, 1, 1},
+		// d = 3, monochromatic, |RSL| = 6.
+		{4, 4, 1, 1, 0, 4, 4, 3, 0, 2, 0, 2, 0, 1, 3, 4, 0, 7, 1, 4, 1, 2, 0, 1, 1, 0, 4, 1, 0, 6, 0, 3, 1, 0, 4, 1, 1, 6, 5, 4, 1, 4, 0, 2, 0, 4, 2, 5, 1, 3, 5, 5, 0, 1, 1, 2, 0, 5, 6, 0},
+		// d = 3, bichromatic, |RSL| = 6.
+		{1, 2, 0, 7, 1, 2, 2, 3, 1, 0, 4, 6, 0, 4, 6, 5, 1, 6, 4, 4, 0, 7, 4, 4, 1, 3, 7, 2, 1, 5, 1, 4, 1, 3, 0, 6, 0, 7, 3, 2, 0, 7, 4, 4, 0, 6, 5, 5, 1, 4, 6, 5, 1, 7, 0, 3, 1, 2, 5, 0, 1, 0, 2, 6},
+		// d = 4, monochromatic, |RSL| = 6.
+		{5, 3, 6, 0, 2, 0, 4, 0, 7, 6, 1, 3, 5, 7, 7, 0, 5, 0, 7, 3, 0, 1, 2, 0, 7, 1, 0, 3, 7, 3, 0, 6, 6, 5, 7, 0, 0, 3, 7, 3, 1, 0, 7, 3, 7, 1, 0, 3, 6, 1, 1, 4, 3, 6, 5, 1, 0, 2, 4, 3, 0, 5, 1, 6, 6, 0, 4, 6, 2, 5, 0, 4, 4, 6, 3},
+		// d = 4, bichromatic, |RSL| = 4.
+		{2, 7, 3, 0, 1, 0, 2, 1, 1, 1, 1, 2, 2, 3, 3, 1, 2, 0, 0, 0, 1, 2, 2, 3, 2, 0, 2, 2, 3, 3, 1, 3, 1, 1, 2, 1, 1, 1, 3, 3, 0, 1, 2, 2, 3, 1, 0, 3, 2, 1, 0, 0, 1, 2, 2, 1, 2, 1, 1, 1, 0, 1, 2, 1, 0, 0, 1, 2, 0, 2, 0, 1, 2, 2, 3, 1, 2, 3, 2, 2, 1, 0, 3, 2, 0},
+		// d = 2, one product: |RSL| = 1 builds the full region.
+		{0, 3, 3, 0, 1, 5, 1, 5, 1},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		d := 2 + int(data[0])%3
+		mono := data[0]/3%2 == 1
+		data = data[1:]
+		if len(data) < d {
+			return
+		}
+		coords := func(b []byte) geom.Point {
+			p := make(geom.Point, d)
+			for i := range p {
+				p[i] = float64(b[i] % 8)
+			}
+			return p
+		}
+		q := coords(data)
+		data = data[d:]
+		var products, customers []Item
+		for len(data) > d && len(products)+len(customers) < 24 {
+			it := Item{Point: coords(data[1:])}
+			if mono || data[0]%2 == 0 {
+				it.ID = len(products)
+				products = append(products, it)
+			} else {
+				it.ID = 1000 + len(customers)
+				customers = append(customers, it)
+			}
+			data = data[d+1:]
+		}
+		if mono {
+			customers = products
+		}
+		if len(products) == 0 {
+			return
+		}
+		db := rskyline.NewDB(d, products, rtree.Config{})
+		e := NewEngine(db, mono)
+		rsl := must(db.ReverseSkylineCtx(bg, customers, q))
+		if len(rsl) == 0 {
+			return
+		}
+		if len(rsl) > 6 {
+			rsl = rsl[:6]
+		}
+
+		universe, _ := db.Universe()
+		want := region.Set{}
+		for i, c := range rsl {
+			add := region.AntiDDR(c.Point, points(db.DynamicSkylineExcluding(c.Point, e.exclude(c))), universe)
+			if i == 0 {
+				want = add
+			} else {
+				want = want.IntersectSet(add)
+			}
+		}
+		want = ensureContainsQ(want, q)
+		if got := e.SafeRegion(q, rsl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("windowed safe region %v, reference fold %v (q %v, members %v)", got, want, q, rsl)
+		}
+
+		windows := must(e.memberWindows(bg, rsl, universe, cancel.SiteSafeRegion))
+		for i, w := range windows {
+			c := rsl[i]
+			var inWindow []int
+			for _, p := range db.DynamicSkylineExcluding(c.Point, e.exclude(c)) {
+				if p.Point.Transform(c.Point).WeaklyDominates(w) {
+					inWindow = append(inWindow, p.ID)
+				}
+			}
+			got := idsOf(must(db.DynamicSkylineWithinCtx(bg, c.Point, e.exclude(c), w, 0)))
+			sort.Ints(inWindow)
+			if !slices.Equal(got, inWindow) {
+				t.Fatalf("member %v, window %v: windowed DSL %v, full DSL in the window %v", c, w, got, inWindow)
+			}
+		}
+	})
+}
+
+// idsOf returns the items' IDs in ascending order.
+func idsOf(items []Item) []int {
+	ids := make([]int, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
+	sort.Ints(ids)
+	return ids
 }

@@ -2,6 +2,7 @@ package whynot
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/cancel"
 	"repro/internal/exec"
@@ -64,47 +65,135 @@ func (e *Engine) safeRegionPhase(ctx context.Context, q geom.Point, rsl []Item, 
 // order on the calling goroutine. Each construction polls its own
 // checkpoint site, so fault injection can slow one ladder rung without the
 // other.
+//
+// Without a store or an anti-DDR cache, and with at least two members, the
+// exact construction runs in two passes of that shape. The bound pass
+// (memberWindows) finds a box B that contains SR(q) and gives each member c
+// the window [c − b_c, c + b_c] around B. The build pass then computes only
+// the part of DSL(c) inside c's window and builds anti-DDR(c) clipped to it.
+// A product farther than b_c from c in some dimension dominates no point of
+// the window, so each clipped region is exactly anti-DDR(c) ∩ window, which
+// contains anti-DDR(c) ∩ B; the fold keeps every rectangle the full fold
+// keeps, and the region's prune order makes the lists equal. The cached
+// path, the approximate one and a single member (whose anti-DDR reaches the
+// universe, so its box bounds nothing) build full regions, so a clipped
+// region never enters a cache. A mutation between the passes can leave B
+// short of the new SR(q); each clipped region is still a subset of the
+// member's anti-DDR at the generation its build saw, so, as with the
+// approximate region, the result never loses a customer of that state.
 func (e *Engine) safeRegion(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
 	universe, ok := e.DB.Universe()
 	if !ok {
 		return region.Set{geom.PointRect(q)}, nil
 	}
-	site := cancel.SiteSafeRegion
-	if store != nil {
-		site = cancel.SiteApproxSafeRegion
-	}
-	adds := make([]region.Set, len(rsl))
-	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(ctx context.Context, i int) error {
-		c := rsl[i]
-		if store != nil {
-			if corners, found := store.Corners(c.ID); found {
-				adds[i] = region.AntiDDRFromCorners(c.Point, corners)
-				return nil
-			}
-		}
-		add, err := e.antiDDRCached(ctx, c, universe, pollAt(ctx, site))
-		adds[i] = add
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(adds) == 0 {
+	if len(rsl) == 0 {
 		// No reverse-skyline points: every position is safe within the
 		// universe (extended symmetrically around q like any anti-DDR).
 		u := universe.TransformMinMax(q).Hi
 		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
 	}
-	// Copy: adds[0] may be a shared cached set, and the fold (and
-	// ensureContainsQ below) append to sr.
+	site := cancel.SiteSafeRegion
+	if store != nil {
+		site = cancel.SiteApproxSafeRegion
+	}
+	var windows []geom.Point
+	if store == nil && e.addr == nil && len(rsl) >= 2 {
+		var err error
+		if windows, err = e.memberWindows(ctx, rsl, universe, site); err != nil {
+			return nil, err
+		}
+	}
+	adds := make([]region.Set, len(rsl))
+	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(ctx context.Context, i int) error {
+		c := rsl[i]
+		poll := pollAt(ctx, site)
+		var err error
+		switch {
+		case windows != nil:
+			adds[i], err = e.antiDDRWithin(ctx, c, universe, windows[i], 0, poll)
+			return err
+		case store != nil:
+			if corners, found := store.Corners(c.ID); found {
+				adds[i] = region.AntiDDRFromCorners(c.Point, corners)
+				return nil
+			}
+		}
+		adds[i], err = e.antiDDRCached(ctx, c, universe, poll)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	sr, err := intersectAll(adds, pollAt(ctx, site))
+	if err != nil {
+		return nil, err
+	}
+	return ensureContainsQ(sr, q), nil
+}
+
+// boundPoints is how many DSL points per member the bound pass takes.
+const boundPoints = 2
+
+// memberWindows is the bound pass of the exact construction. The first
+// boundPoints points of a member's DSL traversal are products, and the
+// anti-DDR of any subset of the products contains the member's anti-DDR; so
+// the ordered fold of these supersets contains SR(q), and so does its
+// bounding box B. It returns, per member c, the half-extent b_c of the
+// smallest box centred at c that contains B (windowAround), or nil when the
+// supersets' fold is empty (SR(q) is then empty too, and the build pass
+// builds full regions).
+func (e *Engine) memberWindows(ctx context.Context, rsl []Item, universe geom.Rect, site string) ([]geom.Point, error) {
+	sups := make([]region.Set, len(rsl))
+	err := exec.ForEach(ctx, len(rsl), e.DB.Workers(), site, func(ctx context.Context, i int) error {
+		var err error
+		sups[i], err = e.antiDDRWithin(ctx, rsl[i], universe, nil, boundPoints, pollAt(ctx, site))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	sup, err := intersectAll(sups, pollAt(ctx, site))
+	if err != nil || len(sup) == 0 {
+		return nil, err
+	}
+	b := sup[0]
+	for _, r := range sup[1:] {
+		b = b.Union(r)
+	}
+	windows := make([]geom.Point, len(rsl))
+	for i, c := range rsl {
+		windows[i] = windowAround(c.Point, b)
+	}
+	return windows, nil
+}
+
+// windowAround returns the half-extent w of the smallest box [c − w, c + w]
+// containing b. Where rounding leaves c − w above b.Lo or c + w below b.Hi,
+// w is widened by one ulp, which always suffices: a wider window keeps the
+// clipped construction exact, a narrower one would not.
+func windowAround(c geom.Point, b geom.Rect) geom.Point {
+	w := make(geom.Point, len(c))
+	for i := range c {
+		w[i] = math.Max(math.Abs(b.Lo[i]-c[i]), math.Abs(b.Hi[i]-c[i]))
+		if c[i]-w[i] > b.Lo[i] || c[i]+w[i] < b.Hi[i] {
+			w[i] = math.Nextafter(w[i], math.Inf(1))
+		}
+	}
+	return w
+}
+
+// intersectAll folds the member regions in member order (the loop of
+// Algorithm 3). It copies adds[0], which may be a shared cached set, since
+// the fold and ensureContainsQ append to the result.
+func intersectAll(adds []region.Set, poll func() error) (region.Set, error) {
 	sr := append(region.Set{}, adds[0]...)
-	poll := pollAt(ctx, site)
 	for _, add := range adds[1:] {
+		var err error
 		if sr, err = sr.IntersectSetChecked(add, poll); err != nil {
 			return nil, err
 		}
 	}
-	return ensureContainsQ(sr, q), nil
+	return sr, nil
 }
 
 // antiDDRCached computes the anti-dominance region of customer c against the
@@ -151,7 +240,18 @@ func (e *Engine) antiDDRCompute(ctx context.Context, c Item, universe geom.Rect,
 	if err != nil {
 		return nil, err
 	}
-	return region.AntiDDRChecked(c.Point, points(dsl), universe, poll)
+	return region.AntiDDRChecked(c.Point, points(dsl), universe, nil, poll)
+}
+
+// antiDDRWithin builds c's anti-DDR clipped to window (nil for none) from
+// the part of DSL(c) inside it, taking at most limit DSL points when limit
+// is positive. It reads and fills neither cache.
+func (e *Engine) antiDDRWithin(ctx context.Context, c Item, universe geom.Rect, window geom.Point, limit int, poll func() error) (region.Set, error) {
+	dsl, err := e.DB.DynamicSkylineWithinCtx(ctx, c.Point, e.exclude(c), window, limit)
+	if err != nil {
+		return nil, err
+	}
+	return region.AntiDDRChecked(c.Point, points(dsl), universe, window, poll)
 }
 
 // pollAt adapts ctx's checker to the poll-callback form the region

@@ -227,13 +227,13 @@ func TestCheckpointCountsPinned(t *testing.T) {
 		}
 	}
 	want := map[string]uint64{
-		cancel.SiteRTreeNode:  1538,
+		cancel.SiteRTreeNode:  577,
 		cancel.SiteCustomer:   5024,
-		cancel.SiteSafeRegion: 1511,
+		cancel.SiteSafeRegion: 343,
 		cancel.SiteAntiDDR:    45,
 		cancel.SiteMWQCorner:  1,
 	}
-	const wantCheckpoints = 1916
+	const wantCheckpoints = 419
 	for _, workers := range []int{1, 2} {
 		for run := 0; run < 3; run++ {
 			db := NewDBWithOptions(2, items, DBOptions{Parallelism: workers, Observability: true})

@@ -10,9 +10,9 @@ GO ?= go
 # detection on fresh mutations of the seed corpus, not deep exploration.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet vet-obs vet-wal vet-surface test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
+.PHONY: check build vet vet-obs vet-wal vet-surface vet-callers test race race-core bench-module bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
 
-check: vet-obs vet-wal vet-surface build test race race-core bench-module bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
+check: vet-obs vet-wal vet-surface vet-callers build test race race-core bench-module bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
 	@echo "tier-1 gate: OK"
 
 build:
@@ -28,8 +28,7 @@ vet:
 # clock and internal/experiments measures wall-clock by design; both are
 # exempt, as are tests and the cmd/ front-ends.
 OBS_LINT_PKGS = internal/rtree internal/skyline internal/rskyline internal/whynot \
-	internal/exec internal/region internal/geom internal/cancel internal/grid \
-	internal/engine
+	internal/exec internal/region internal/geom internal/cancel internal/engine
 vet-obs: vet
 	@bad=$$(grep -rn 'time\.Now()' $(OBS_LINT_PKGS) --include='*.go' | grep -v _test.go || true); \
 	if [ -n "$$bad" ]; then \
@@ -136,6 +135,22 @@ vet-surface: vet
 	fi
 	@echo "vet-surface: OK"
 
+# Caller lint on top of go vet: no code without a caller. Every exported
+# function or method declared in a non-test file under internal/ must have
+# its name on some other line of a non-test .go file (benchmark/ included),
+# comments and the declarations of that name aside; the hooks that exist
+# for tests by design are listed, each with its reason, in
+# tools/vet-callers.allow, and an entry the lint no longer flags fails as
+# stale. It matches on names, not on resolved references, so a name that
+# also appears elsewhere hides dead code: it would not have flagged
+# explain.Builder.Start (other Start methods are called) or rtree.Tree.Count
+# (Count is a word elsewhere).
+GO_SOURCES = $(shell find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | sort)
+vet-callers: vet
+	@awk -v allow=tools/vet-callers.allow -f tools/vet-callers.awk $(GO_SOURCES) || \
+		{ echo "vet-callers: exported code without a caller (delete it, move it into the tests, or allowlist it with a reason)"; exit 1; }
+	@echo "vet-callers: OK"
+
 # -shuffle=on randomises test (and subtest-source) execution order every
 # run, so accidental inter-test state dependence surfaces instead of
 # fossilising; the seed is printed on failure for exact reproduction.
@@ -161,11 +176,6 @@ race-core:
 # instead of the next benchmark run.
 bench-module:
 	cd benchmark && $(GO) vet . && $(GO) test .
-
-# Benchmark smoke: the parallel/cache-aware configuration against the
-# sequential reference on CarDB-50K, recorded as BENCH_parallel.json.
-bench-smoke:
-	$(GO) run ./cmd/parallelbench -out BENCH_parallel.json
 
 # Benchmark regression diff: latest vs previous same-config record in each
 # BENCH_*.json, failing past a 20% slowdown. Non-blocking (leading -): shared

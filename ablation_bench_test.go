@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/experiments"
-	"repro/internal/grid"
 	"repro/internal/region"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
@@ -83,7 +82,9 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	q := NewPoint(500, 500)
 	b.Run("unfiltered", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkylineCtx(bg, items, q)
+			for _, c := range items {
+				db.IsReverseSkylineCtx(bg, c, q)
+			}
 		}
 	})
 	b.Run("global-filter", func(b *testing.B) {
@@ -166,28 +167,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// Ablation 6: index substrate — R*-tree vs uniform grid for the window
-// existence test, on uniform (grid-friendly) and CarDB (skewed) data.
-func BenchmarkAblationIndexSubstrate(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.Uniform, datagen.CarDB} {
-		items := datagen.Generate(kind, benchSize, 2, 99)
-		db := rskyline.NewDB(2, items, rtree.Config{})
-		g := grid.New(2, items, 128)
-		b.Run(kind.String()+"/rtree", func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				c := items[n%len(items)]
-				q := items[(n*7+1)%len(items)]
-				db.WindowExistsCtx(bg, c.Point, q.Point, c.ID)
-			}
-		})
-		b.Run(kind.String()+"/grid", func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				c := items[n%len(items)]
-				q := items[(n*7+1)%len(items)]
-				g.WindowExists(c.Point, q.Point, c.ID)
-			}
-		})
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
-	"repro/internal/skyline"
 	"repro/internal/whynot"
 )
 
@@ -237,24 +236,18 @@ func BenchmarkReverseSkylineFiltered(b *testing.B) {
 func BenchmarkReverseSkylineUnfiltered(b *testing.B) {
 	items := benchItems(5000) // quadratic in effect; keep it smaller
 	db := rskyline.NewDB(2, items, rtree.Config{})
+	q := NewPoint(500, 500)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.ReverseSkylineCtx(bg, items, NewPoint(500, 500))
+		for _, c := range items {
+			db.IsReverseSkylineCtx(bg, c, q)
+		}
 	}
 }
 
-func BenchmarkStaticSkylineAlgorithms(b *testing.B) {
-	items := benchItems(benchSize)
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	b.Run("BBS", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.BBS(tr)
-		}
-	})
-}
-
-// Parallel-executor benchmarks on the CarDB-50K workload (the JSON smoke run
-// with a fixed configuration is `make bench-smoke` / cmd/parallelbench).
+// Parallel-executor benchmarks on the CarDB-50K workload. They time; the
+// oracle suite checks that every worker count and cache setting gives the
+// same answers.
 
 var carDB50K = struct {
 	sync.Once

@@ -15,13 +15,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/benchrec"
 	"repro/internal/server/chaostest"
 )
 
@@ -55,7 +55,7 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(sum)
-	if err := appendRecord(*out, sum); err != nil {
+	if err := benchrec.Append(*out, sum); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos: append summary:", err)
 		os.Exit(1)
 	}
@@ -82,35 +82,4 @@ func defaultSlowlog() string {
 		return ""
 	}
 	return filepath.Join(dir, "chaos-slowlog.jsonl")
-}
-
-// appendRecord appends one summary to the output file, which is an array of
-// schema-versioned run records (the repo's BENCH_*.json convention).
-func appendRecord(path string, sum *chaostest.Summary) error {
-	var records []json.RawMessage
-	if buf, err := os.ReadFile(path); err == nil {
-		if len(buf) > 0 {
-			if err := json.Unmarshal(buf, &records); err != nil {
-				return fmt.Errorf("existing %s is not a valid record array: %w", path, err)
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	rec, err := json.MarshalIndent(sum, "  ", "  ")
-	if err != nil {
-		return err
-	}
-	records = append(records, rec)
-	out := []byte("[\n")
-	for i, r := range records {
-		out = append(out, "  "...)
-		out = append(out, r...)
-		if i < len(records)-1 {
-			out = append(out, ',')
-		}
-		out = append(out, '\n')
-	}
-	out = append(out, "]\n"...)
-	return os.WriteFile(path, out, 0o644)
 }

@@ -16,11 +16,11 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/benchrec"
 	"repro/internal/wal/faulttest"
 )
 
@@ -73,7 +73,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(res)
-		if err := appendRecord(*out, res); err != nil {
+		if err := benchrec.Append(*out, res); err != nil {
 			fmt.Fprintln(os.Stderr, "fsfault: append summary:", err)
 			os.Exit(1)
 		}
@@ -103,35 +103,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("storage-fault contract held across %d seed(s)\n", nSeeds)
-}
-
-// appendRecord appends one summary to the output file, which is an array of
-// schema-versioned run records (the repo's BENCH_*.json convention).
-func appendRecord(path string, res *faulttest.Result) error {
-	var records []json.RawMessage
-	if buf, err := os.ReadFile(path); err == nil {
-		if len(buf) > 0 {
-			if err := json.Unmarshal(buf, &records); err != nil {
-				return fmt.Errorf("existing %s is not a valid record array: %w", path, err)
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	rec, err := json.MarshalIndent(res, "  ", "  ")
-	if err != nil {
-		return err
-	}
-	records = append(records, rec)
-	out := []byte("[\n")
-	for i, r := range records {
-		out = append(out, "  "...)
-		out = append(out, r...)
-		if i < len(records)-1 {
-			out = append(out, ',')
-		}
-		out = append(out, '\n')
-	}
-	out = append(out, "]\n"...)
-	return os.WriteFile(path, out, 0o644)
 }

@@ -59,37 +59,6 @@ func (d *Dataset) Bounds() (geom.Rect, bool) {
 	return r, true
 }
 
-// Stats summarises one dimension.
-type Stats struct {
-	Min, Max, Mean float64
-}
-
-// ColumnStats computes min/max/mean per dimension.
-func (d *Dataset) ColumnStats() []Stats {
-	out := make([]Stats, d.Dims)
-	for i := range out {
-		out[i].Min = +1e308
-		out[i].Max = -1e308
-	}
-	for _, it := range d.Items {
-		for i, v := range it.Point {
-			if v < out[i].Min {
-				out[i].Min = v
-			}
-			if v > out[i].Max {
-				out[i].Max = v
-			}
-			out[i].Mean += v
-		}
-	}
-	if n := float64(len(d.Items)); n > 0 {
-		for i := range out {
-			out[i].Mean /= n
-		}
-	}
-	return out
-}
-
 // WriteCSV emits "id,dim0,dim1,..." rows with an optional header from
 // Columns.
 func (d *Dataset) WriteCSV(w io.Writer) error {

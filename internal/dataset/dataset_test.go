@@ -121,7 +121,7 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestBoundsAndStats(t *testing.T) {
+func TestBounds(t *testing.T) {
 	items := []Item{
 		{ID: 0, Point: geom.NewPoint(0, 10)},
 		{ID: 1, Point: geom.NewPoint(4, 20)},
@@ -131,13 +131,6 @@ func TestBoundsAndStats(t *testing.T) {
 	b, ok := d.Bounds()
 	if !ok || !b.Lo.Equal(geom.NewPoint(0, 10)) || !b.Hi.Equal(geom.NewPoint(4, 30)) {
 		t.Fatalf("Bounds = %v", b)
-	}
-	st := d.ColumnStats()
-	if st[0].Min != 0 || st[0].Max != 4 || st[0].Mean != 2 {
-		t.Fatalf("stats dim0 = %+v", st[0])
-	}
-	if st[1].Mean != 20 {
-		t.Fatalf("stats dim1 = %+v", st[1])
 	}
 	empty, _ := New("e", 2, nil)
 	if _, ok := empty.Bounds(); ok {
@@ -171,7 +164,7 @@ func TestFindQueries(t *testing.T) {
 			t.Fatalf("unexpected RSL size %d", size)
 		}
 		// The recorded RSL must be the actual reverse skyline.
-		actual, err := db.ReverseSkylineCtx(context.Background(), items, qc.Q)
+		actual, err := db.ReverseSkylineFilteredCtx(context.Background(), items, qc.Q)
 		if err != nil {
 			t.Fatal(err)
 		}

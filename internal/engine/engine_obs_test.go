@@ -60,20 +60,36 @@ func TestObservedDegradation(t *testing.T) {
 		t.Errorf("global degradation delta = %d, want 1", d.Degradations)
 	}
 
-	exact := tr.SpansNamed("rung.exact")
+	exact := spansNamed(tr, "rung.exact")
 	if len(exact) != 1 {
 		t.Fatalf("rung.exact spans = %d, want 1", len(exact))
 	}
 	if exact[0].End <= exact[0].Start {
 		t.Errorf("rung.exact span has no duration: %+v", exact[0])
 	}
-	if got := len(tr.SpansNamed("rung.approx")); got != 1 {
+	if got := len(spansNamed(tr, "rung.approx")); got != 1 {
 		t.Errorf("rung.approx spans = %d, want 1", got)
 	}
-	events := tr.EventsNamed("degrade")
-	if len(events) != 1 {
-		t.Fatalf("degrade events = %d, want 1", len(events))
+	events := 0
+	for _, e := range tr.Events() {
+		if e.Name == "degrade" {
+			events++
+		}
 	}
+	if events != 1 {
+		t.Fatalf("degrade events = %d, want 1", events)
+	}
+}
+
+// spansNamed returns tr's spans called name.
+func spansNamed(tr *obs.Trace, name string) []obs.Span {
+	var out []obs.Span
+	for _, s := range tr.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // TestObservedPanicReason: an injected panic in the exact rung must be

@@ -111,6 +111,3 @@ func (s *Switch) Visit(site string, n uint64) {
 
 // Set opens (true) or closes (false) the fault window.
 func (s *Switch) Set(on bool) { s.enabled.Store(on) }
-
-// Enabled reports whether faults currently pass through.
-func (s *Switch) Enabled() bool { return s.enabled.Load() }

@@ -48,8 +48,8 @@ func TestNormalizedL1ScaleInvariance(t *testing.T) {
 		n1 := NewNormalizerFromRect(rect(0, 0, 10, 10))
 		c1 := n1.NormalizedL1(a, b, nil)
 		scale, shift := 7.0, 3.0
-		a2 := a.Scale(scale).Add(NewPoint(shift, shift))
-		b2 := b.Scale(scale).Add(NewPoint(shift, shift))
+		a2 := NewPoint(a[0]*scale+shift, a[1]*scale+shift)
+		b2 := NewPoint(b[0]*scale+shift, b[1]*scale+shift)
 		n2 := NewNormalizerFromRect(rect(shift, shift, 10*scale+shift, 10*scale+shift))
 		c2 := n2.NormalizedL1(a2, b2, nil)
 		if math.Abs(c1-c2) > 1e-9 {

@@ -110,15 +110,6 @@ func (p Point) Sub(q Point) Point {
 	return r
 }
 
-// Scale returns s·p.
-func (p Point) Scale(s float64) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = s * p[i]
-	}
-	return r
-}
-
 // Min returns the coordinate-wise minimum of p and q.
 func (p Point) Min(q Point) Point {
 	r := make(Point, len(p))

@@ -70,9 +70,6 @@ func TestArithmetic(t *testing.T) {
 	if got := a.Sub(b); !got.Equal(NewPoint(-2, 3)) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := a.Scale(2); !got.Equal(NewPoint(2, 4)) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := a.Min(b); !got.Equal(NewPoint(1, -1)) {
 		t.Errorf("Min = %v", got)
 	}

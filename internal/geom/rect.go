@@ -37,30 +37,10 @@ func (r Rect) Clone() Rect {
 	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
 }
 
-// IsValid reports whether Lo ≤ Hi in every dimension.
-func (r Rect) IsValid() bool {
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return len(r.Lo) > 0
-}
-
 // Contains reports whether p lies in the closed rectangle r.
 func (r Rect) Contains(p Point) bool {
 	for i := range r.Lo {
 		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsStrict reports whether p lies in the open interior of r.
-func (r Rect) ContainsStrict(p Point) bool {
-	for i := range r.Lo {
-		if p[i] <= r.Lo[i] || p[i] >= r.Hi[i] {
 			return false
 		}
 	}
@@ -206,22 +186,6 @@ func (r Rect) MinDistL1(p Point) float64 {
 		}
 	}
 	return s
-}
-
-// MinDistL2 returns the minimum Euclidean distance from p to any point in r.
-func (r Rect) MinDistL2(p Point) float64 {
-	var s float64
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < r.Lo[i]:
-			d = r.Lo[i] - p[i]
-		case p[i] > r.Hi[i]:
-			d = p[i] - r.Hi[i]
-		}
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // TransformMinMax returns the rectangle of transformed coordinates |c−x| for

@@ -16,10 +16,10 @@
 // above it, so a node's counts are its query's work alone however many
 // other queries run.
 //
-// The package follows the internal/obs design rules: a nil *Builder (explain
-// disabled) reduces every plan hook to a nil check with zero allocations,
-// carried through context like obs.Trace; timestamps come from obs.Now (the
-// vet-obs lint bans raw time.Now here).
+// The package follows the internal/obs design rules: the Builder rides the
+// context like obs.Trace, and without one (explain disabled) Phase opens no
+// plan node, so the phase costs only its Span and pprof label; timestamps
+// come from obs.Now (the vet-obs lint bans raw time.Now here).
 package explain
 
 import (
@@ -125,9 +125,9 @@ type Plan struct {
 	Root        *Node  `json:"root"`
 }
 
-// Span is one open phase (Phase) or plan node (Builder.Start): End closes
-// it, SetIn/SetOut record candidate counts on its plan node. A nil Span (a
-// hidden phase, a nil or finished Builder) no-ops everywhere.
+// Span is one open phase (Phase): End closes it, SetIn/SetOut record
+// candidate counts on its plan node. A nil Span (a hidden phase) no-ops
+// everywhere.
 type Span struct {
 	b     *Builder
 	n     *Node
@@ -144,7 +144,7 @@ type Span struct {
 	ended    bool // End ran (only the opening goroutine calls End)
 }
 
-// Builder assembles the plan tree for one query. Safe for concurrent Start/
+// Builder assembles the plan tree for one query. Safe for concurrent Phase/
 // End from parallel phase workers (a mutex, not atomics — explain is a
 // per-request opt-in, contention is bounded by the worker pool).
 type Builder struct {
@@ -184,21 +184,6 @@ func (b *Builder) open(sp *Span, name, rule string) bool {
 	parent.n.Children = append(parent.n.Children, sp.n)
 	b.stack = append(b.stack, sp)
 	return true
-}
-
-// Start opens a bare child plan node under the innermost open node, with no
-// trace span, label or counters of its own; query phases use Phase. Returns
-// nil on a nil Builder — every Span method tolerates that, so call sites
-// need no enabled-check.
-func (b *Builder) Start(name, rule string) *Span {
-	if b == nil {
-		return nil
-	}
-	sp := &Span{start: obs.Now()}
-	if !b.open(sp, name, rule) {
-		return nil
-	}
-	return sp
 }
 
 // Phase opens a query phase named name: a span on ctx's trace, a plan node
@@ -351,15 +336,4 @@ func With(ctx context.Context, b *Builder) context.Context {
 // fingerprint — follow the pipeline, not the data, and traces stay bounded.
 func Hide(ctx context.Context) context.Context {
 	return context.WithValue(ctx, ctxKey{}, (*Builder)(nil))
-}
-
-// From extracts the builder carried by ctx, or nil (explain disabled or
-// hidden). The nil path allocates nothing — the disabled-overhead budget
-// test pins that.
-func From(ctx context.Context) *Builder {
-	if ctx == nil {
-		return nil
-	}
-	b, _ := ctx.Value(ctxKey{}).(*Builder)
-	return b
 }

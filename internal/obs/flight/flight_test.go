@@ -238,11 +238,9 @@ func TestRungAttemptsAndDegradeReasonsFromTrace(t *testing.T) {
 	l := New(Config{HeadSampleEvery: 1 << 20})
 	a := l.Begin("mwq", "test", "q=1,2 c=3", 2)
 	tr := a.Trace()
-	end := tr.StartSpan("rung.exact")
-	end()
+	tr.AddSpan("rung.exact", obs.Now(), obs.Now())
 	tr.Eventf("degrade", "exact rung failed (%s), falling through", "panic: boom")
-	end = tr.StartSpan("rung.mwp")
-	end()
+	tr.AddSpan("rung.mwp", obs.Now(), obs.Now())
 	a.SetRung("mwp", true)
 	rec, _ := a.Finish(OutcomeOK, "")
 
@@ -275,8 +273,7 @@ func TestInFlightInspector(t *testing.T) {
 	if infos[0].Op != "whynot" || infos[0].Workers != 4 || infos[0].Phase != "-" {
 		t.Errorf("in-flight entry = %+v, want op=whynot workers=4 phase=- before any span completes", infos[0])
 	}
-	end := a.Trace().StartSpan("membership")
-	end()
+	a.Trace().AddSpan("membership", obs.Now(), obs.Now())
 	if infos = l.InFlight(); infos[0].Phase != "membership" {
 		t.Errorf("phase = %q after the membership span completed, want membership", infos[0].Phase)
 	}

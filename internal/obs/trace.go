@@ -26,12 +26,6 @@ var (
 	traceEventsDropped atomic.Uint64
 )
 
-// TraceDropped returns the process-wide counts of spans and events lost to
-// the fixed trace capacities.
-func TraceDropped() (spans, events uint64) {
-	return traceSpansDropped.Load(), traceEventsDropped.Load()
-}
-
 // RegisterTraceHealth exposes the process-wide trace overflow counters on a
 // registry.
 func RegisterTraceHealth(r *Registry) {
@@ -104,18 +98,8 @@ func NewTrace(op string) *Trace {
 	return &Trace{Op: op, Start: Now()}
 }
 
-// StartSpan begins a timed phase; the returned func records it on call
-// (typically deferred). Spans are published at completion, so an in-flight
-// phase is invisible to readers.
-func (t *Trace) StartSpan(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := Now()
-	return func() { t.AddSpan(name, start, Now()) }
-}
-
-// AddSpan records a completed phase with explicit timestamps.
+// AddSpan records a completed phase with explicit timestamps. Spans are
+// published at completion, so an in-flight phase is invisible to readers.
 func (t *Trace) AddSpan(name string, start, end int64) {
 	if t == nil {
 		return
@@ -209,28 +193,6 @@ func (t *Trace) Truncated() bool {
 		return false
 	}
 	return t.droppedSpans.Load() > 0 || t.droppedEvents.Load() > 0
-}
-
-// SpansNamed returns the recorded spans with the given name.
-func (t *Trace) SpansNamed(name string) []Span {
-	var out []Span
-	for _, s := range t.Spans() {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// EventsNamed returns the recorded events with the given name.
-func (t *Trace) EventsNamed(name string) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Name == name {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Format writes a human-readable rendering: one line per span (offset from

@@ -177,11 +177,9 @@ func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.customers, q)
 
-			sameIDs(t, "RSL direct", must(f.db.ReverseSkylineCtx(bg, f.customers, q)), want)
 			sameIDs(t, "RSL filtered", f.db.ReverseSkylineFiltered(f.customers, q), want)
 
 			for _, db := range pdbs {
-				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", db.Workers()), must(db.ReverseSkylineCtx(bg, f.customers, q)), want)
 				sameIDs(t, fmt.Sprintf("RSL filtered parallel w=%d", db.Workers()), db.ReverseSkylineFiltered(f.customers, q), want)
 			}
 		}

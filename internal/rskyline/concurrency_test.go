@@ -139,9 +139,6 @@ func raceQueriesAgainstMutation(t *testing.T, workers int) {
 
 	for i := 0; i < 20; i++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if _, err := db.ReverseSkylineCtx(bg, base, q); err != nil {
-			t.Fatalf("workers=%d: parallel RSL: %v", workers, err)
-		}
 		if _, err := db.ReverseSkylineFilteredCtx(bg, base, q); err != nil {
 			t.Fatalf("workers=%d: parallel filtered RSL: %v", workers, err)
 		}

@@ -323,13 +323,6 @@ func (db *DB) IsReverseSkylineCtx(ctx context.Context, c Item, q geom.Point) (bo
 	return !found, err
 }
 
-// ReverseSkylineCtx computes RSL(q) over the given customers by running the
-// window-existence test for each customer, with a cancellation checkpoint per
-// customer. This is the direct §II method.
-func (db *DB) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
-	return db.verify(ctx, customers, q)
-}
-
 // ReverseSkylineFiltered is ReverseSkylineFilteredCtx without a deadline.
 func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
 	out, _ := db.ReverseSkylineFilteredCtx(context.Background(), customers, q)
@@ -341,10 +334,10 @@ func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
 // cannot be in RSL(q), and it suffices to test against the global skyline of
 // P, which a branch-and-bound traversal of the index finds. The surviving
 // candidates are verified with window-existence queries. The result is
-// identical to ReverseSkylineCtx, members in customer order; only the work
-// differs. Passing the products as the customers gives the monochromatic
-// setting. Cancellation is polled in the candidate traversal and once per
-// customer.
+// identical to running the window-existence test of §II for every customer,
+// members in customer order; only the work differs. Passing the products as
+// the customers gives the monochromatic setting. Cancellation is polled in
+// the candidate traversal and once per customer.
 func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
 	ctx, _ = cancel.Bind(ctx)
 	cands, err := db.globalFilter(ctx, customers, q)

@@ -95,14 +95,10 @@ func TestWindowQueryC2(t *testing.T) {
 func TestReverseSkylinePaperExample(t *testing.T) {
 	db := fig1DB()
 	customers := fig1()
-	got := must(db.ReverseSkylineCtx(bg, customers, paperQ))
+	got := db.ReverseSkylineFiltered(customers, paperQ)
 	want := []int{2, 3, 4, 6, 8}
 	if !equalInts(ids(got), want) {
 		t.Fatalf("RSL(q) = %v, want %v", ids(got), want)
-	}
-	filtered := db.ReverseSkylineFiltered(customers, paperQ)
-	if !equalInts(ids(filtered), want) {
-		t.Fatalf("filtered RSL(q) = %v, want %v", ids(filtered), want)
 	}
 }
 
@@ -150,10 +146,6 @@ func TestReverseSkylineMatchesBruteRandom(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got := ids(must(db.ReverseSkylineCtx(bg, products, q)))
-			if !equalInts(got, want) {
-				t.Fatalf("dims=%d seed=%d: RSL mismatch got=%v want=%v", dims, seed, got, want)
-			}
 			gotF := ids(db.ReverseSkylineFiltered(products, q))
 			if !equalInts(gotF, want) {
 				t.Fatalf("dims=%d seed=%d: filtered RSL mismatch got=%v want=%v", dims, seed, gotF, want)
@@ -178,9 +170,6 @@ func TestBichromaticReverseSkyline(t *testing.T) {
 		}
 	}
 	sort.Ints(want)
-	if got := ids(must(db.ReverseSkylineCtx(bg, customers, q))); !equalInts(got, want) {
-		t.Fatalf("bichromatic RSL got=%v want=%v", got, want)
-	}
 	if got := ids(db.ReverseSkylineFiltered(customers, q)); !equalInts(got, want) {
 		t.Fatalf("bichromatic filtered RSL got=%v want=%v", got, want)
 	}
@@ -292,10 +281,6 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d: BBRS=%v filtered=%v", trial, got, want)
 		}
-		plain := ids(must(db.ReverseSkylineCtx(bg, products, q)))
-		if !equalInts(got, plain) {
-			t.Fatalf("trial %d: BBRS=%v plain=%v", trial, got, plain)
-		}
 	}
 }
 
@@ -304,9 +289,6 @@ func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	want := []int{2, 3, 4, 6, 8}
 	if got := ids(db.ReverseSkylineFiltered(fig1(), paperQ)); !equalInts(got, want) {
 		t.Fatalf("filtered RSL = %v", got)
-	}
-	if got := ids(must(db.ReverseSkylineCtx(bg, fig1(), paperQ))); !equalInts(got, want) {
-		t.Fatalf("direct RSL = %v", got)
 	}
 	if got := ids(must(db.ReverseSkylineBBRSCtx(bg, paperQ))); !equalInts(got, want) {
 		t.Fatalf("BBRS RSL = %v", got)

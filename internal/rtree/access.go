@@ -4,14 +4,14 @@ import "repro/internal/obs"
 
 // Node-access accounting: in a disk-resident R-tree every visited node is a
 // page read, so "nodes accessed" is the standard I/O cost metric of the
-// skyline literature (BBS is I/O-optimal in it). Every traversal (Search,
-// Exists, BestFirst, GuidedSearch and the operations built on them) counts
-// its node visits, per level, and its prune-hook skips into one obs.Counts:
-// the caller's, for the …Checked forms, which the caller flushes to its
-// query's tally once, or a fresh one for the context-free forms. When the
-// traversal returns it adds its visits to the tree's totals, so Accesses and
-// LeafScans stay exact and live however many queries run at once; per-query
-// attribution comes from the tally, never from differencing these totals.
+// skyline literature (BBS is I/O-optimal in it). Every traversal
+// (SearchChecked, ExistsChecked, BestFirstChecked, GuidedSearchChecked and
+// the operations built on them) counts its node visits, per level, and its
+// prune-hook skips into the caller's obs.Counts, which the caller flushes to
+// its query's tally once. When the traversal returns it adds its visits to
+// the tree's totals, so Accesses and LeafScans stay exact and live however
+// many queries run at once; per-query attribution comes from the tally,
+// never from differencing these totals.
 
 // addVisits adds the node visits counted into c since it held nodes visits
 // (leaves of them leaf scans) to the tree's totals; traversals defer it.

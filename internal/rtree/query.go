@@ -8,16 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Search invokes fn for every item whose point lies in the closed query
-// rectangle. Traversal stops early if fn returns false.
-func (t *Tree) Search(query geom.Rect, fn func(Item) bool) {
-	_ = t.SearchChecked(nil, new(obs.Counts), query, fn)
-}
-
-// SearchChecked is Search with cooperative cancellation: the checker is
-// consulted once per visited node and the traversal aborts as soon as it
-// reports cancellation, which is then returned. A nil checker degrades to
-// plain Search. The visited nodes are counted into c.
+// SearchChecked invokes fn for every item whose point lies in the closed
+// query rectangle; the traversal stops early if fn returns false. The checker
+// is consulted once per visited node and the traversal aborts as soon as it
+// reports cancellation, which is then returned; a nil checker never cancels.
+// The visited nodes are counted into c.
 func (t *Tree) SearchChecked(chk *cancel.Checker, c *obs.Counts, query geom.Rect, fn func(Item) bool) error {
 	if err := chk.Err(); err != nil {
 		return err
@@ -47,28 +42,12 @@ func (t *Tree) search(n *node, query geom.Rect, fn func(Item) bool, chk *cancel.
 	return true
 }
 
-// RangeQuery collects all items inside the closed query rectangle.
-func (t *Tree) RangeQuery(query geom.Rect) []Item {
-	var out []Item
-	t.Search(query, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// Exists reports whether any item inside the closed query rectangle satisfies
-// pred, short-circuiting the traversal at the first hit. A nil pred matches
-// every item. This is the existence-only window query used to verify reverse
-// skyline membership.
-func (t *Tree) Exists(query geom.Rect, pred func(Item) bool) bool {
-	found, _ := t.ExistsChecked(nil, new(obs.Counts), query, pred)
-	return found
-}
-
-// ExistsChecked is Exists with cooperative cancellation, counting into c
-// like SearchChecked. When the traversal is cancelled before a witness is
-// found, found is false and the context's error is returned.
+// ExistsChecked reports whether any item inside the closed query rectangle
+// satisfies pred, short-circuiting the traversal at the first hit. A nil
+// pred matches every item. This is the existence-only window query that
+// verifies reverse skyline membership. It cancels and counts into c like
+// SearchChecked; when the traversal is cancelled before a witness is found,
+// found is false and the context's error is returned.
 func (t *Tree) ExistsChecked(chk *cancel.Checker, c *obs.Counts, query geom.Rect, pred func(Item) bool) (bool, error) {
 	found := false
 	err := t.SearchChecked(chk, c, query, func(it Item) bool {
@@ -81,25 +60,13 @@ func (t *Tree) ExistsChecked(chk *cancel.Checker, c *obs.Counts, query geom.Rect
 	return found, err
 }
 
-// Count returns the number of items inside the closed query rectangle.
-func (t *Tree) Count(query geom.Rect) int {
-	n := 0
-	t.Search(query, func(Item) bool { n++; return true })
-	return n
-}
-
-// All invokes fn for every stored item.
-func (t *Tree) All(fn func(Item) bool) {
-	if t.size == 0 {
-		return
-	}
-	t.Search(t.root.mbr(), fn)
-}
-
 // Items returns all stored items.
 func (t *Tree) Items() []Item {
 	out := make([]Item, 0, t.size)
-	t.All(func(it Item) bool {
+	if t.size == 0 {
+		return out
+	}
+	_ = t.SearchChecked(nil, new(obs.Counts), t.root.mbr(), func(it Item) bool {
 		out = append(out, it)
 		return true
 	})
@@ -162,27 +129,19 @@ func (h *pq) pop() pqEntry {
 	return x
 }
 
-// BestFirst yields items in non-decreasing order of key, where itemKey scores
-// a point and rectKey must lower-bound itemKey over every point inside the
-// rectangle. prune, when non-nil, is consulted before expanding a node or
-// emitting an item; returning true skips the subtree/item (the BBS dominance
-// pruning hook). Iteration stops when fn returns false.
+// BestFirstChecked yields items in non-decreasing order of key, where
+// itemKey scores a point and rectKey must lower-bound itemKey over every
+// point inside the rectangle. prune, when non-nil, is consulted before
+// expanding a node or emitting an item; returning true skips the subtree or
+// item (the BBS dominance pruning hook). Iteration stops when fn returns
+// false.
 //
 // The rectangles handed to rectKey and prune are the tree's own storage:
 // read-only, and valid only for the duration of the call.
-func (t *Tree) BestFirst(
-	itemKey func(geom.Point) float64,
-	rectKey func(geom.Rect) float64,
-	prune func(rect geom.Rect) bool,
-	fn func(Item, float64) bool,
-) {
-	_ = t.BestFirstChecked(nil, new(obs.Counts), itemKey, rectKey, prune, fn)
-}
-
-// BestFirstChecked is BestFirst with cooperative cancellation: the checker is
-// consulted once per heap pop (node or item expansion) and the traversal
-// aborts, returning the context's error, as soon as it fires. Node visits
-// and prune-hook skips are counted into c like SearchChecked's.
+//
+// The checker is consulted once per heap pop (node or item expansion) and
+// the traversal aborts, returning the context's error, as soon as it fires.
+// Node visits and prune-hook skips are counted into c like SearchChecked's.
 func (t *Tree) BestFirstChecked(
 	chk *cancel.Checker,
 	c *obs.Counts,
@@ -250,24 +209,15 @@ func (t *Tree) bestFirst(
 	}
 }
 
-// GuidedSearch is a depth-first traversal restricted to subtrees
+// GuidedSearchChecked is a depth-first traversal restricted to subtrees
 // intersecting query, visiting children in ascending order(rect) and
 // consulting prune before each descent (prune sees the child MBR; returning
-// true skips it). Unlike BestFirst it keeps no global heap — the ordering is
-// only per-node — which makes it the cheap engine for window-local
-// branch-and-bound where any collected witness prunes soundly regardless of
-// global visit order. Traversal stops when fn returns false.
-func (t *Tree) GuidedSearch(
-	query geom.Rect,
-	order func(geom.Rect) float64,
-	prune func(geom.Rect) bool,
-	fn func(Item) bool,
-) {
-	_ = t.GuidedSearchChecked(nil, new(obs.Counts), query, order, prune, fn)
-}
-
-// GuidedSearchChecked is GuidedSearch with cooperative cancellation at
-// node-visit granularity, counting into c like BestFirstChecked.
+// true skips it). Unlike BestFirstChecked it keeps no global heap — the
+// ordering is only per-node — which makes it the cheap engine for
+// window-local branch-and-bound where any collected witness prunes soundly
+// regardless of global visit order. Traversal stops when fn returns false.
+// It cancels at node-visit granularity and counts into c like
+// BestFirstChecked.
 func (t *Tree) GuidedSearchChecked(
 	chk *cancel.Checker,
 	c *obs.Counts,

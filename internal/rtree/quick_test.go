@@ -53,7 +53,9 @@ func TestQuickTreeMatchesNaive(t *testing.T) {
 		}
 		// Full-range query returns exactly the live set.
 		got := map[int]bool{}
-		tr.All(func(it Item) bool { got[it.ID] = true; return true })
+		for _, it := range tr.Items() {
+			got[it.ID] = true
+		}
 		if len(got) != len(live) {
 			return false
 		}
@@ -88,7 +90,7 @@ func TestQuickRangeAgainstBrute(t *testing.T) {
 					want[it.ID] = true
 				}
 			}
-			got := tr.RangeQuery(q)
+			got := rangeQuery(tr, q)
 			if len(got) != len(want) {
 				return false
 			}
@@ -117,7 +119,7 @@ func TestQuickBestFirstMonotone(t *testing.T) {
 		prev := -1.0
 		count := 0
 		ok := true
-		tr.BestFirst(
+		bestFirst(tr,
 			func(p geom.Point) float64 { return origin.L1(p) },
 			func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 			nil,

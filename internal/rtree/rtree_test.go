@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 func randItems(n, dims int, seed int64) []Item {
@@ -41,6 +42,32 @@ func idsOf(items []Item) []int {
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// Test shorthands for the checked traversals: no cancellation, and the
+// visits go to a throwaway tally (the tree's totals still count them).
+
+func rangeQuery(tr *Tree, q geom.Rect) []Item {
+	var out []Item
+	_ = tr.SearchChecked(nil, new(obs.Counts), q, func(it Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out
+}
+
+func exists(tr *Tree, q geom.Rect, pred func(Item) bool) bool {
+	found, _ := tr.ExistsChecked(nil, new(obs.Counts), q, pred)
+	return found
+}
+
+func bestFirst(tr *Tree, itemKey func(geom.Point) float64, rectKey func(geom.Rect) float64,
+	prune func(geom.Rect) bool, fn func(Item, float64) bool) {
+	_ = tr.BestFirstChecked(nil, new(obs.Counts), itemKey, rectKey, prune, fn)
+}
+
+func guidedSearch(tr *Tree, q geom.Rect, order func(geom.Rect) float64, prune func(geom.Rect) bool, fn func(Item) bool) {
+	_ = tr.GuidedSearchChecked(nil, new(obs.Counts), q, order, prune, fn)
 }
 
 func equalIDs(a, b []int) bool {
@@ -83,7 +110,7 @@ func TestInsertAndRangeQuery(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		got := idsOf(tr.RangeQuery(q))
+		got := idsOf(rangeQuery(tr, q))
 		want := bruteRange(items, q)
 		if !equalIDs(got, want) {
 			t.Fatalf("range query %v: got %d ids, want %d", q, len(got), len(want))
@@ -109,16 +136,18 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Bounds(); ok {
 		t.Error("empty tree has no bounds")
 	}
-	if got := tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1, 1))); len(got) != 0 {
+	if got := rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1, 1))); len(got) != 0 {
 		t.Error("range query on empty tree should be empty")
 	}
-	tr.BestFirst(
-		func(p geom.Point) float64 { return p.L2(geom.NewPoint(0, 0)) },
-		func(r geom.Rect) float64 { return r.MinDistL2(geom.NewPoint(0, 0)) },
+	bestFirst(tr,
+		func(p geom.Point) float64 { return p.L1(geom.NewPoint(0, 0)) },
+		func(r geom.Rect) float64 { return r.MinDistL1(geom.NewPoint(0, 0)) },
 		nil,
 		func(Item, float64) bool { t.Error("best-first on empty tree yielded an item"); return false },
 	)
-	tr.All(func(Item) bool { t.Error("All on empty tree yielded an item"); return false })
+	if got := tr.Items(); len(got) != 0 {
+		t.Errorf("Items on empty tree = %v", got)
+	}
 }
 
 func TestBulkLoadMatchesBrute(t *testing.T) {
@@ -138,7 +167,7 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 			a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 			b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 			q := geom.NewRect(a, b)
-			if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(items, q)) {
+			if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(items, q)) {
 				t.Fatalf("n=%d: bulk-loaded range query mismatch", n)
 			}
 		}
@@ -153,7 +182,7 @@ func TestBulkLoad3D(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(items, q)) {
+		if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(items, q)) {
 			t.Fatal("3-d bulk-loaded range query mismatch")
 		}
 	}
@@ -190,7 +219,7 @@ func TestDelete(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(remaining, q)) {
+		if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(remaining, q)) {
 			t.Fatal("range query mismatch after deletes")
 		}
 	}
@@ -223,30 +252,21 @@ func TestExistsShortCircuits(t *testing.T) {
 	items := randItems(1000, 2, 6)
 	tr := BulkLoad(2, items, Config{})
 	all := geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000))
-	if !tr.Exists(all, nil) {
+	if !exists(tr, all, nil) {
 		t.Fatal("Exists over full range must be true")
 	}
 	visited := 0
-	tr.Exists(all, func(Item) bool { visited++; return true })
+	exists(tr, all, func(Item) bool { visited++; return true })
 	if visited != 1 {
 		t.Errorf("Exists visited %d items, want 1 (short circuit)", visited)
 	}
 	empty := geom.NewRect(geom.NewPoint(-10, -10), geom.NewPoint(-5, -5))
-	if tr.Exists(empty, nil) {
+	if exists(tr, empty, nil) {
 		t.Fatal("Exists over empty range must be false")
 	}
 	// Predicate filter: only even IDs in a thin stripe.
-	if got := tr.Exists(all, func(it Item) bool { return false }); got {
+	if got := exists(tr, all, func(it Item) bool { return false }); got {
 		t.Fatal("unsatisfiable predicate must yield false")
-	}
-}
-
-func TestCount(t *testing.T) {
-	items := randItems(500, 2, 12)
-	tr := BulkLoad(2, items, Config{})
-	q := geom.NewRect(geom.NewPoint(100, 100), geom.NewPoint(600, 600))
-	if got, want := tr.Count(q), len(bruteRange(items, q)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
 	}
 }
 
@@ -257,12 +277,12 @@ func TestNearestNeighbors(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		p := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		k := 1 + rng.Intn(10)
-		// The k nearest are the first k a Euclidean best-first traversal
+		// The k nearest (in L1) are the first k a best-first traversal
 		// emits.
 		got := make([]Item, 0, k)
-		tr.BestFirst(
-			func(x geom.Point) float64 { return p.L2(x) },
-			func(r geom.Rect) float64 { return r.MinDistL2(p) },
+		bestFirst(tr,
+			func(x geom.Point) float64 { return p.L1(x) },
+			func(r geom.Rect) float64 { return r.MinDistL1(p) },
 			nil,
 			func(it Item, _ float64) bool {
 				got = append(got, it)
@@ -274,9 +294,9 @@ func TestNearestNeighbors(t *testing.T) {
 		}
 		// Oracle: sort all by distance.
 		byDist := append([]Item(nil), items...)
-		sort.Slice(byDist, func(i, j int) bool { return p.L2(byDist[i].Point) < p.L2(byDist[j].Point) })
+		sort.Slice(byDist, func(i, j int) bool { return p.L1(byDist[i].Point) < p.L1(byDist[j].Point) })
 		for i := range got {
-			if p.L2(got[i].Point) != p.L2(byDist[i].Point) {
+			if p.L1(got[i].Point) != p.L1(byDist[i].Point) {
 				t.Fatalf("kNN order mismatch at %d: %v vs %v", i, got[i].Point, byDist[i].Point)
 			}
 		}
@@ -289,7 +309,7 @@ func TestBestFirstOrdering(t *testing.T) {
 	origin := geom.NewPoint(0, 0)
 	prev := -1.0
 	n := 0
-	tr.BestFirst(
+	bestFirst(tr,
 		func(p geom.Point) float64 { return origin.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
@@ -313,7 +333,7 @@ func TestBestFirstPrune(t *testing.T) {
 	origin := geom.NewPoint(0, 0)
 	// Prune everything with min L1 distance > 500: only close items emitted.
 	var got []Item
-	tr.BestFirst(
+	bestFirst(tr,
 		func(p geom.Point) float64 { return origin.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		func(r geom.Rect) bool { return r.MinDistL1(origin) > 500 },
@@ -342,7 +362,7 @@ func TestMinKeyItem(t *testing.T) {
 	// The first item a best-first traversal emits minimises its key.
 	var it Item
 	ok := false
-	tr.BestFirst(
+	bestFirst(tr,
 		func(p geom.Point) float64 { return target.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(target) },
 		nil,
@@ -371,7 +391,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatalf("invariants with duplicates: %v", err)
 	}
-	got := tr.RangeQuery(geom.PointRect(p))
+	got := rangeQuery(tr, geom.PointRect(p))
 	if len(got) != 100 {
 		t.Fatalf("duplicate query returned %d, want 100", len(got))
 	}
@@ -437,7 +457,7 @@ func TestCustomFanout(t *testing.T) {
 		t.Errorf("300 items at fanout 4 should build a deep tree, height = %d", tr.Height())
 	}
 	q := geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000))
-	if got := len(tr.RangeQuery(q)); got != 300 {
+	if got := len(rangeQuery(tr, q)); got != 300 {
 		t.Fatalf("full range = %d, want 300", got)
 	}
 }
@@ -488,10 +508,10 @@ func TestAccessCounting(t *testing.T) {
 	}
 	// A tiny range query touches far fewer nodes than a full scan.
 	tr.ResetAccesses()
-	tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(10, 10)))
+	rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(10, 10)))
 	small := tr.Accesses()
 	tr.ResetAccesses()
-	tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000)))
+	rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000)))
 	full := tr.Accesses()
 	if small <= 0 || full <= small {
 		t.Fatalf("access counts implausible: small=%d full=%d", small, full)
@@ -502,9 +522,9 @@ func TestAccessCounting(t *testing.T) {
 	// Best-first with early exit touches a fraction of the tree.
 	tr.ResetAccesses()
 	centre := geom.NewPoint(500, 500)
-	tr.BestFirst(
-		func(p geom.Point) float64 { return centre.L2(p) },
-		func(r geom.Rect) float64 { return r.MinDistL2(centre) },
+	bestFirst(tr,
+		func(p geom.Point) float64 { return centre.L1(p) },
+		func(r geom.Rect) float64 { return r.MinDistL1(centre) },
 		nil,
 		func(Item, float64) bool { return false },
 	)
@@ -524,7 +544,7 @@ func TestGuidedSearch(t *testing.T) {
 	window := geom.NewRect(geom.NewPoint(100, 100), geom.NewPoint(400, 400))
 	// Without pruning, GuidedSearch must enumerate exactly the window.
 	var got []int
-	tr.GuidedSearch(window,
+	guidedSearch(tr, window,
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
 		func(it Item) bool { got = append(got, it.ID); return true })
@@ -548,7 +568,7 @@ func TestGuidedSearch(t *testing.T) {
 	}
 	// Early exit stops the traversal.
 	n := 0
-	tr.GuidedSearch(window,
+	guidedSearch(tr, window,
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
 		func(Item) bool { n++; return false })
@@ -556,13 +576,13 @@ func TestGuidedSearch(t *testing.T) {
 		t.Fatalf("early exit visited %d items", n)
 	}
 	// Prune-everything yields nothing.
-	tr.GuidedSearch(window,
+	guidedSearch(tr, window,
 		func(r geom.Rect) float64 { return 0 },
 		func(geom.Rect) bool { return true },
 		func(Item) bool { t.Fatal("pruned traversal yielded an item"); return false })
 	// Empty tree no-op.
 	empty := New(2, Config{})
-	empty.GuidedSearch(window, func(geom.Rect) float64 { return 0 }, nil,
+	guidedSearch(empty, window, func(geom.Rect) float64 { return 0 }, nil,
 		func(Item) bool { t.Fatal("empty tree yielded an item"); return false })
 }
 
@@ -614,16 +634,15 @@ func TestBulkLoadThenInsertNoAliasing(t *testing.T) {
 				items = append(items, extra)
 			}
 			seen := make(map[int]int, len(items))
-			tr.All(func(it Item) bool {
+			for _, it := range tr.Items() {
 				seen[it.ID]++
-				return true
-			})
+			}
 			for _, it := range items {
 				if seen[it.ID] != 1 {
 					t.Fatalf("dims=%d n=%d: item %d stored %d times after bulk+insert",
 						dims, n, it.ID, seen[it.ID])
 				}
-				got := tr.RangeQuery(geom.PointRect(it.Point))
+				got := rangeQuery(tr, geom.PointRect(it.Point))
 				found := false
 				for _, g := range got {
 					found = found || g.ID == it.ID

@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs/explain"
 )
 
-// Fingerprints returns the server's query-fingerprint regression store —
-// tests and the chaos harness read class aggregates through it.
+// Fingerprints returns the server's query-fingerprint regression store, for
+// tests to read class aggregates through; the handlers read the field.
 func (s *Server) Fingerprints() *explain.Store { return s.fingerprints }
 
 // handleDebugFingerprints serves the query-fingerprint regression store:

@@ -19,7 +19,8 @@ type GlobalSkyline struct {
 	// dominate a point whose canonical orthant is g: those on g's side of q
 	// in every dimension where they are off q's axis. A member on one of q's
 	// axes is filed under the orthants on both sides of it; a record exactly
-	// at q is filed nowhere, since it blocks nobody (see GlobalDominates).
+	// at q is filed nowhere, since it only ties window distances and blocks
+	// nobody.
 	byOrthant [][]dominator
 	tr        geom.Point // Dominates' scratch transform
 }
@@ -163,8 +164,7 @@ func GlobalSkylineBBSChecked(chk *cancel.Checker, c *obs.Counts, t *rtree.Tree, 
 			}
 			// A record exactly at q (all-zero transform) is a global-skyline
 			// member but must not act as a dominator: it ties every window
-			// distance in every dimension and blocks nobody (see
-			// GlobalDominates).
+			// distance in every dimension and blocks nobody.
 			if !zeroPoint(tr) {
 				gs.file(it.ID, tr.Clone(), g)
 			}

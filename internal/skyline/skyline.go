@@ -1,16 +1,16 @@
-// Package skyline implements the skyline machinery the paper builds on:
-// static skylines (Definition 1) via the branch-and-bound skyline (BBS) of
-// Papadias et al. over an R*-tree; dynamic skylines (Definition 2) computed
-// in the space transformed around a centre point; the branch-and-bound
-// global skyline used to prune reverse-skyline candidates; and the k-sampled
-// approximate dynamic skyline of §VI.B.1.
+// Package skyline implements the skyline machinery the paper builds on, all
+// of it over an R*-tree by the branch-and-bound skyline (BBS) traversal of
+// Papadias et al.: dynamic skylines (Definition 2), computed in the space
+// transformed around a centre point; the global skyline used to prune
+// reverse-skyline candidates; and the k-sampled approximate dynamic skyline
+// of §VI.B.1. (The static skyline of Definition 1 is the dynamic skyline
+// around the origin for non-negative data.)
 //
 // Dominance is strict throughout (≤ in every dimension, < in at least one),
 // so duplicate points never dominate each other and are all retained.
 package skyline
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/cancel"
@@ -22,8 +22,8 @@ import (
 // Item aliases the R-tree item type: an identified point.
 type Item = rtree.Item
 
-// coordSum is the monotone key of the static and dynamic skyline
-// traversals: no point can dominate one with a smaller sum.
+// coordSum is monotone under dominance: no point can dominate one with a
+// smaller sum.
 func coordSum(p geom.Point) float64 {
 	var s float64
 	for _, v := range p {
@@ -41,89 +41,6 @@ func zeroPoint(p geom.Point) bool {
 		}
 	}
 	return true
-}
-
-// BBS computes the static skyline with the branch-and-bound skyline algorithm
-// over an R*-tree: best-first traversal by coordinate-sum mindist with
-// dominance pruning. It accesses only the nodes that can contain skyline
-// points. Having no caller context, it flushes its counts to the
-// process-global counters only.
-func BBS(t *rtree.Tree) []Item {
-	var sky []Item
-	dt := 0 // point-point only; the rect prune below is not a dominance test
-	pruned := 0
-	dominatedRect := func(r geom.Rect) bool {
-		for _, s := range sky {
-			if s.Point.WeaklyDominates(r.Lo) && !r.Contains(s.Point) {
-				return true
-			}
-		}
-		return false
-	}
-	t.BestFirst(
-		coordSum,
-		func(r geom.Rect) float64 { return coordSum(r.Lo) },
-		dominatedRect,
-		func(it Item, _ float64) bool {
-			for _, s := range sky {
-				dt++
-				if s.Point.Dominates(it.Point) {
-					pruned++
-					return true
-				}
-			}
-			sky = append(sky, it)
-			return true
-		},
-	)
-	obs.Flush(context.Background(), &obs.Counts{CostSnapshot: obs.CostSnapshot{
-		DominanceTests: uint64(dt), PrunedEntries: uint64(pruned),
-	}})
-	return sky
-}
-
-// Dynamic computes the dynamic skyline of items with respect to centre c
-// (Definition 2) by transforming every point with f_i(p) = |c_i − p_i| and
-// running SFS in the transformed space. Returned items keep their original
-// coordinates. An item whose point equals c exactly maps to the origin of
-// the transformed space and dominates everything else. Like BBS, it flushes
-// its counts to the process-global counters only.
-func Dynamic(items []Item, c geom.Point) []Item {
-	type ti struct {
-		orig Item
-		tr   geom.Point
-	}
-	ts := make([]ti, len(items))
-	for i, it := range items {
-		ts[i] = ti{orig: it, tr: it.Point.Transform(c)}
-	}
-	sort.SliceStable(ts, func(i, j int) bool { return coordSum(ts[i].tr) < coordSum(ts[j].tr) })
-	var sky []ti
-	dt := 0
-	pruned := 0
-	for _, cand := range ts {
-		dominated := false
-		for _, s := range sky {
-			dt++
-			if s.tr.Dominates(cand.tr) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, cand)
-		} else {
-			pruned++
-		}
-	}
-	obs.Flush(context.Background(), &obs.Counts{CostSnapshot: obs.CostSnapshot{
-		DominanceTests: uint64(dt), PrunedEntries: uint64(pruned),
-	}})
-	out := make([]Item, len(sky))
-	for i, s := range sky {
-		out[i] = s.orig
-	}
-	return out
 }
 
 // NoExclude is an ID no real item carries: as DynamicBBSExcludingChecked's
@@ -211,34 +128,6 @@ func DynamicBBSExcludingChecked(chk *cancel.Checker, cnt *obs.Counts, t *rtree.T
 		return nil, err
 	}
 	return out, nil
-}
-
-// GlobalDominates reports whether a globally dominates b with respect to
-// centre q: a and b lie in the same closed orthant around q and |q−a|
-// dominates |q−b|. Global dominance is the sound pruning relation for
-// reverse-skyline candidates (Dellis & Seeger, VLDB 2007): if a globally
-// dominates b then a dynamically dominates q w.r.t. b, so b ∉ RSL(q).
-//
-// The one degenerate case is a record lying exactly at q: its transformed
-// distances are all zero, so it weakly dominates everything, yet for any
-// customer b it only ties |a_i−b_i| = |q_i−b_i| in every dimension — never a
-// strict dynamic dominance — so it blocks nobody. (For a ≠ q in the same
-// closed orthant the implication is exact: |a_i−q_i| ≤ |b_i−q_i| puts a_i
-// between q_i and b_i, and the strict dimension forces a_i ≠ q_i there.)
-func GlobalDominates(q, a, b geom.Point) bool {
-	atQ := true
-	for i := range q {
-		if (a[i]-q[i])*(b[i]-q[i]) < 0 {
-			return false // strictly opposite sides of q
-		}
-		if a[i] != q[i] {
-			atQ = false
-		}
-	}
-	if atQ {
-		return false // a record at q ties every window distance
-	}
-	return geom.DynDominates(q, a, b)
 }
 
 // ApproxDynamic returns the k-sampled approximation of a dynamic skyline

@@ -8,11 +8,10 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/rtree"
 )
 
-// fig1Points is the running-example dataset of the paper (Fig. 1a), in
-// (price K$, mileage Kmi).
 // dynamicBBS and globalSkylineBBS run the checked traversals with no
 // checker, counting into a fresh Counts.
 func dynamicBBS(t *rtree.Tree, c geom.Point) []Item {
@@ -25,6 +24,8 @@ func globalSkylineBBS(t *rtree.Tree, q geom.Point) []Item {
 	return gs.Members
 }
 
+// fig1Points is the running-example dataset of the paper (Fig. 1a), in
+// (price K$, mileage Kmi).
 func fig1Points() []Item {
 	coords := [][2]float64{
 		{5, 30},   // pt1
@@ -73,23 +74,16 @@ func keys(m map[int]bool) []int {
 	return ks
 }
 
-// Paper Fig. 1(b): SK = {p1, p3, p5}.
-func TestStaticSkylinePaperExample(t *testing.T) {
-	tr := rtree.BulkLoad(2, fig1Points(), rtree.Config{})
-	sameIDs(t, BBS(tr), 1, 3, 5)
+// staticSkyline is the static skyline (Definition 1) of items, computed as
+// the dynamic skyline around the origin, which it equals for the
+// non-negative test data.
+func staticSkyline(dims int, items []Item) []Item {
+	return dynamicBBS(rtree.BulkLoad(dims, items, rtree.Config{}), make(geom.Point, dims))
 }
 
-// staticSkylines computes the static skyline of items every way the package
-// can: BBS, and the dynamic skyline around the origin by the scan and by the
-// index, which is the static one for the non-negative test data.
-func staticSkylines(dims int, items []Item) map[string][]Item {
-	tr := rtree.BulkLoad(dims, items, rtree.Config{})
-	origin := make(geom.Point, dims)
-	return map[string][]Item{
-		"BBS":        BBS(tr),
-		"Dynamic":    Dynamic(items, origin),
-		"DynamicBBS": dynamicBBS(tr, origin),
-	}
+// Paper Fig. 1(b): SK = {p1, p3, p5}.
+func TestStaticSkylinePaperExample(t *testing.T) {
+	sameIDs(t, staticSkyline(2, fig1Points()), 1, 3, 5)
 }
 
 // Paper Fig. 2(a): DSL(q) = {p2, p6} for q=(8.5,55) over pt1..pt8 minus pt2?
@@ -98,25 +92,24 @@ func staticSkylines(dims int, items []Item) map[string][]Item {
 func TestDynamicSkylinePaperExampleQ(t *testing.T) {
 	items := fig1Points()
 	q := geom.NewPoint(8.5, 55)
-	sameIDs(t, Dynamic(items, q), 2, 6)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	sameIDs(t, dynamicBBS(tr, q), 2, 6)
 }
 
 // Paper §I: the dynamic skyline of c2 = pt2 over {pt1, pt3..pt8} is
-// {p1, p4, p6}.
+// {p1, p4, p6}: pt2's own record is excluded by ID.
 func TestDynamicSkylinePaperExampleC2(t *testing.T) {
-	var items []Item
-	for _, it := range fig1Points() {
-		if it.ID != 2 {
-			items = append(items, it)
-		}
-	}
+	items := fig1Points()
 	c2 := geom.NewPoint(7.5, 42)
-	sameIDs(t, Dynamic(items, c2), 1, 4, 6)
+	dsl := func(tr *rtree.Tree) []Item {
+		out, _ := DynamicBBSExcludingChecked(nil, new(obs.Counts), tr, c2, 2, nil, 0)
+		return out
+	}
+	tr := rtree.BulkLoad(2, items, rtree.Config{})
+	sameIDs(t, dsl(tr), 1, 4, 6)
 	// Adding q to the products puts q into DSL(c2) as well (paper: {p1,p4,p6,q}).
-	q := Item{ID: 99, Point: geom.NewPoint(8.5, 55)}
-	sameIDs(t, Dynamic(append(items, q), c2), 1, 4, 6, 99)
+	tr.Insert(Item{ID: 99, Point: geom.NewPoint(8.5, 55)})
+	sameIDs(t, dsl(tr), 1, 4, 6, 99)
 }
 
 func randItems(n, dims int, seed int64) []Item {
@@ -154,37 +147,10 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 	for _, dims := range []int{2, 3, 4} {
 		for seed := int64(0); seed < 5; seed++ {
 			items := randItems(400, dims, seed)
-			want := idSet(bruteSkyline(items))
-			for name, sky := range staticSkylines(dims, items) {
-				got := idSet(sky)
-				if len(got) != len(want) {
-					t.Fatalf("dims=%d seed=%d %s: %d points, want %d", dims, seed, name, len(got), len(want))
-				}
-				for id := range want {
-					if !got[id] {
-						t.Fatalf("dims=%d seed=%d %s missing id %d", dims, seed, name, id)
-					}
-				}
-			}
+			want := keys(idSet(bruteSkyline(items)))
+			sameIDsNamed(t, fmt.Sprintf("dims=%d seed=%d", dims, seed), staticSkyline(dims, items), want...)
 		}
 	}
-}
-
-func bruteDynamicSkyline(items []Item, c geom.Point) []Item {
-	var out []Item
-	for i, a := range items {
-		dominated := false
-		for j, b := range items {
-			if i != j && geom.DynDominates(c, b.Point, a.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // DynamicBBS must agree with the brute-force oracle on every way a tree gets
@@ -200,8 +166,7 @@ func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 		for d := range c {
 			c[d] = rng.Float64() * 100
 		}
-		want := keys(idSet(bruteDynamicSkyline(items, c)))
-		sameIDsNamed(t, fmt.Sprintf("trial %d Dynamic", trial), Dynamic(items, c), want...)
+		want := keys(idSet(oracle.DynamicSkyline(items, c, oracle.NoExclude)))
 		trees := map[string]*rtree.Tree{
 			"bulk":         rtree.BulkLoad(dims, items, rtree.Config{}),
 			"insert":       churnedTree(dims, items, rtree.Config{}, nil),
@@ -249,9 +214,7 @@ func TestSkylineWithDuplicates(t *testing.T) {
 		{ID: 2, Point: geom.NewPoint(1, 1)}, // duplicate of 1
 		{ID: 3, Point: geom.NewPoint(2, 2)},
 	}
-	for name, got := range staticSkylines(2, items) {
-		sameIDsNamed(t, name, got, 1, 2)
-	}
+	sameIDsNamed(t, "duplicates", staticSkyline(2, items), 1, 2)
 }
 
 func sameIDsNamed(t *testing.T, name string, got []Item, want ...int) {
@@ -268,16 +231,12 @@ func sameIDsNamed(t *testing.T, name string, got []Item, want ...int) {
 }
 
 func TestSkylineEmptyAndSingle(t *testing.T) {
-	for name, got := range staticSkylines(2, nil) {
-		if len(got) != 0 {
-			t.Errorf("%s of no items should be empty: %v", name, got)
-		}
+	if got := staticSkyline(2, nil); len(got) != 0 {
+		t.Errorf("skyline of no items should be empty: %v", got)
 	}
 	one := []Item{{ID: 7, Point: geom.NewPoint(3, 3)}}
-	for name, got := range staticSkylines(2, one) {
-		if len(got) != 1 || got[0].ID != 7 {
-			t.Errorf("%s single item: %v", name, got)
-		}
+	if got := staticSkyline(2, one); len(got) != 1 || got[0].ID != 7 {
+		t.Errorf("single item: %v", got)
 	}
 }
 
@@ -285,7 +244,7 @@ func TestSkylineMutualNonDominance(t *testing.T) {
 	// Property: no pair of returned skyline points dominates each other, and
 	// every non-returned point is dominated by some returned point.
 	items := randItems(500, 3, 77)
-	sky := BBS(rtree.BulkLoad(3, items, rtree.Config{}))
+	sky := staticSkyline(3, items)
 	inSky := idSet(sky)
 	for i, a := range sky {
 		for j, b := range sky {
@@ -311,22 +270,52 @@ func TestSkylineMutualNonDominance(t *testing.T) {
 	}
 }
 
+// globalDominates reports whether a globally dominates b with respect to
+// centre q: a and b lie in the same closed orthant around q and |q−a|
+// dominates |q−b|. Global dominance is the sound pruning relation for
+// reverse-skyline candidates (Dellis & Seeger, VLDB 2007): if a globally
+// dominates b then a dynamically dominates q w.r.t. b, so b ∉ RSL(q). It is
+// the reference relation GlobalSkylineBBSChecked's orthant filing is
+// checked against.
+//
+// The one degenerate case is a record lying exactly at q: its transformed
+// distances are all zero, so it weakly dominates everything, yet for any
+// customer b it only ties |a_i−b_i| = |q_i−b_i| in every dimension — never a
+// strict dynamic dominance — so it blocks nobody. (For a ≠ q in the same
+// closed orthant the implication is exact: |a_i−q_i| ≤ |b_i−q_i| puts a_i
+// between q_i and b_i, and the strict dimension forces a_i ≠ q_i there.)
+func globalDominates(q, a, b geom.Point) bool {
+	atQ := true
+	for i := range q {
+		if (a[i]-q[i])*(b[i]-q[i]) < 0 {
+			return false // strictly opposite sides of q
+		}
+		if a[i] != q[i] {
+			atQ = false
+		}
+	}
+	if atQ {
+		return false // a record at q ties every window distance
+	}
+	return geom.DynDominates(q, a, b)
+}
+
 func TestGlobalDominates(t *testing.T) {
 	q := geom.NewPoint(0, 0)
 	a := geom.NewPoint(1, 1)
 	b := geom.NewPoint(2, 2)
-	if !GlobalDominates(q, a, b) {
+	if !globalDominates(q, a, b) {
 		t.Error("same-orthant transformed dominance should hold")
 	}
 	// Opposite orthants never globally dominate.
 	c := geom.NewPoint(-2, -2)
-	if GlobalDominates(q, a, c) {
+	if globalDominates(q, a, c) {
 		t.Error("opposite orthant must not globally dominate")
 	}
 	// Mirror point with same absolute coords: same closed orthant required.
 	d := geom.NewPoint(-1, 2)
 	e := geom.NewPoint(-2, 3)
-	if !GlobalDominates(q, d, e) {
+	if !globalDominates(q, d, e) {
 		t.Error("same (negative-x) orthant dominance should hold")
 	}
 }
@@ -340,7 +329,7 @@ func TestGlobalDominanceSoundness(t *testing.T) {
 		q := geom.NewPoint(rng.Float64()*10-5, rng.Float64()*10-5)
 		a := geom.NewPoint(rng.Float64()*10-5, rng.Float64()*10-5)
 		b := geom.NewPoint(rng.Float64()*10-5, rng.Float64()*10-5)
-		if GlobalDominates(q, a, b) {
+		if globalDominates(q, a, b) {
 			checked++
 			if !geom.DynDominates(b, a, q) {
 				t.Fatalf("global dominance unsound: q=%v a=%v b=%v", q, a, b)
@@ -357,7 +346,7 @@ func TestGlobalSkylineSuperset(t *testing.T) {
 	q := geom.NewPoint(50, 50)
 	gs := idSet(globalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
 	// Every dynamic skyline point must be in the global skyline.
-	for _, it := range Dynamic(items, q) {
+	for _, it := range oracle.DynamicSkyline(items, q, oracle.NoExclude) {
 		if !gs[it.ID] {
 			t.Fatalf("dynamic skyline point %d missing from global skyline", it.ID)
 		}
@@ -367,7 +356,7 @@ func TestGlobalSkylineSuperset(t *testing.T) {
 func TestApproxDynamic(t *testing.T) {
 	items := randItems(2000, 2, 55)
 	c := geom.NewPoint(50, 50)
-	dsl := Dynamic(items, c)
+	dsl := oracle.DynamicSkyline(items, c, oracle.NoExclude)
 	if len(dsl) < 6 {
 		t.Skipf("need a larger DSL for this test, got %d", len(dsl))
 	}
@@ -415,7 +404,7 @@ func TestApproxDynamic(t *testing.T) {
 func TestApproxDynamicSmallDSL(t *testing.T) {
 	items := fig1Points()
 	c := geom.NewPoint(8.5, 55)
-	dsl := Dynamic(items, c) // 2 points
+	dsl := oracle.DynamicSkyline(items, c, oracle.NoExclude) // 2 points
 	approx := ApproxDynamic(dsl, c, 10, 0)
 	if len(approx) != len(dsl) {
 		t.Fatalf("small DSL should be returned whole: %d vs %d", len(approx), len(dsl))
@@ -431,7 +420,7 @@ func naiveGlobalSkyline(items []Item, q geom.Point) []Item {
 	for i, cand := range items {
 		dominated := false
 		for j, other := range items {
-			if i != j && GlobalDominates(q, other.Point, cand.Point) {
+			if i != j && globalDominates(q, other.Point, cand.Point) {
 				dominated = true
 				break
 			}
@@ -499,10 +488,10 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 	q := geom.NewPoint(3, 4)
 	atQ := geom.NewPoint(3, 4)
 	other := geom.NewPoint(5, 9)
-	if GlobalDominates(q, atQ, other) {
+	if globalDominates(q, atQ, other) {
 		t.Error("a record at q must not globally dominate: it ties every window distance")
 	}
-	if !GlobalDominates(q, other, geom.NewPoint(7, 11)) {
+	if !globalDominates(q, other, geom.NewPoint(7, 11)) {
 		t.Error("ordinary same-orthant dominance must still hold")
 	}
 
@@ -534,8 +523,8 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 			t.Errorf("RSL member %d pruned from GlobalSkylineBBS by the record at q", c.ID)
 		}
 		for _, p := range items {
-			if p.ID != c.ID && GlobalDominates(q, p.Point, c.Point) {
-				t.Errorf("GlobalDominates prunes RSL member %d via product %d", c.ID, p.ID)
+			if p.ID != c.ID && globalDominates(q, p.Point, c.Point) {
+				t.Errorf("globalDominates prunes RSL member %d via product %d", c.ID, p.ID)
 			}
 		}
 	}

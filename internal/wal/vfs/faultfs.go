@@ -103,13 +103,6 @@ type Rule struct {
 	BitOffset int64
 }
 
-// Injection records one fired fault, for harness reporting.
-type Injection struct {
-	Op    Op     `json:"op"`
-	Path  string `json:"path"`
-	Fault string `json:"fault"`
-}
-
 // FaultFS wraps an inner FS and injects Rule-driven faults. It is safe for
 // concurrent use; disarmed (SetArmed(false)) every call is a passthrough
 // plus one atomic load, so a soak harness can open and close fault windows
@@ -118,11 +111,11 @@ type FaultFS struct {
 	inner FS
 	armed atomic.Bool
 
-	mu       sync.Mutex
-	rules    []Rule
-	calls    []uint64 // per-rule matching-call counter
-	fires    []int    // per-rule fire counter
-	injected []Injection
+	mu    sync.Mutex
+	rules []Rule
+	calls []uint64 // per-rule matching-call counter
+	fires []int    // per-rule fire counter
+	fired int      // faults fired, all rules
 }
 
 // NewFaultFS builds a fault injector over inner (typically OS). The injector
@@ -136,23 +129,11 @@ func NewFaultFS(inner FS, rules ...Rule) *FaultFS {
 // SetArmed opens (true) or closes (false) the fault window.
 func (f *FaultFS) SetArmed(on bool) { f.armed.Store(on) }
 
-// Armed reports whether faults currently fire.
-func (f *FaultFS) Armed() bool { return f.armed.Load() }
-
-// Injections returns every fault fired so far, in order.
-func (f *FaultFS) Injections() []Injection {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Injection, len(f.injected))
-	copy(out, f.injected)
-	return out
-}
-
 // Fired reports how many faults have fired.
 func (f *FaultFS) Fired() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.injected)
+	return f.fired
 }
 
 // match consults the rules for one operation and returns the fault to
@@ -183,7 +164,7 @@ func (f *FaultFS) match(op Op, path string) (Rule, bool) {
 			continue
 		}
 		f.fires[i]++
-		f.injected = append(f.injected, Injection{Op: op, Path: base, Fault: r.Fault.String()})
+		f.fired++
 		return r, true
 	}
 	return Rule{}, false

@@ -18,7 +18,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	var rsl []Item
 	for trial := 0; trial < 40; trial++ {
 		q = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl = must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl = must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) >= 1 && len(rsl) <= 8 {
 			break
 		}

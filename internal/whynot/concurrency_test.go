@@ -42,7 +42,7 @@ func raceSafeRegionAgainstMutation(t *testing.T, workers int) {
 	var rsl []Item
 	for trial := 0; trial < 50; trial++ {
 		cand := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if r := must(db.ReverseSkylineCtx(bg, products, cand)); len(r) >= 2 && len(r) <= 8 {
+		if r := must(db.ReverseSkylineFilteredCtx(bg, products, cand)); len(r) >= 2 && len(r) <= 8 {
 			q, rsl = cand, r
 			break
 		}
@@ -136,7 +136,7 @@ func TestDerivedDeadlineGetsItsOwnChecker(t *testing.T) {
 	var rsl []Item
 	for trial := 0; trial < 200 && len(rsl) < 3; trial++ {
 		q = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl = must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl = must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 	}
 	if len(rsl) < 3 {
 		t.Skip("no query with a reverse skyline of at least 3 sampled")

@@ -194,7 +194,7 @@ func FuzzSafeRegionWindowed(f *testing.F) {
 		}
 		db := rskyline.NewDB(d, products, rtree.Config{})
 		e := NewEngine(db, mono)
-		rsl := must(db.ReverseSkylineCtx(bg, customers, q))
+		rsl := must(db.ReverseSkylineFilteredCtx(bg, customers, q))
 		if len(rsl) == 0 {
 			return
 		}

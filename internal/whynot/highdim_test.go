@@ -52,7 +52,7 @@ func TestSafeRegion3DPreservesRSL(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 3; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, items, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, items, q))
 		if len(rsl) < 1 || len(rsl) > 5 {
 			continue
 		}
@@ -86,7 +86,7 @@ func TestMWQ3DSoundness(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 60 && tested < 3; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, items, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, items, q))
 		if len(rsl) < 1 || len(rsl) > 4 {
 			continue
 		}

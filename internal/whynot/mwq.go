@@ -31,8 +31,6 @@ type MWQResult struct {
 	Case MWQCase
 	// SafeRegion is the (exact or approximate) safe region used.
 	SafeRegion region.Set
-	// AntiDDR is the why-not point's anti-dominance region.
-	AntiDDR region.Set
 	// Overlap is SR(q) ∩ anti-DDR(c_t); non-empty exactly in case C1.
 	Overlap region.Set
 	// QStar is the chosen new query-point location. In case C1 it is the
@@ -128,7 +126,6 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 		return MWQResult{
 			Case:         CaseOverlap,
 			SafeRegion:   sr,
-			AntiDDR:      antiDDR,
 			Overlap:      overlap,
 			QStar:        cands[0].Point,
 			QCandidates:  cands,
@@ -214,7 +211,6 @@ func (e *Engine) mwq(ctx context.Context, ct Item, q geom.Point, sr region.Set, 
 	return MWQResult{
 		Case:         CaseDisjoint,
 		SafeRegion:   sr,
-		AntiDDR:      antiDDR,
 		Overlap:      overlap,
 		QStar:        bestQ,
 		QCandidates:  qEvaluated,

@@ -22,7 +22,7 @@ func propertyCases(t *testing.T, e *Engine, products []Item, seed int64, fn func
 	tested := 0
 	for trial := 0; trial < 60 && tested < 6; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 12 {
 			continue
 		}
@@ -159,7 +159,7 @@ func TestPropertyRSLMonotoneUnderSafeMove(t *testing.T) {
 				probes = append(probes, res.SafeRegion.InteriorNudge(p, 1e-9))
 			}
 			for _, qStar := range probes {
-				after := idSetOf(must(e.DB.ReverseSkylineCtx(bg, products, qStar)))
+				after := idSetOf(must(e.DB.ReverseSkylineFilteredCtx(bg, products, qStar)))
 				for _, c := range rsl {
 					if !after[c.ID] {
 						t.Fatalf("seed %d: customer %d ∈ RSL(q) lost at q*=%v ∈ SR(q)",

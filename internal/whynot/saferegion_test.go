@@ -13,7 +13,7 @@ import (
 func TestTruncateSafeRegion(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 
 	// Limit the price to [8, 12]: the truncated region must be inside both
@@ -55,7 +55,7 @@ func TestTruncateSafeRegion(t *testing.T) {
 func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 
 	limits := geom.NewRect(geom.NewPoint(2.5, 20), geom.NewPoint(26, 90))
 	exp := ExpandSafeRegion(limits)
@@ -95,7 +95,7 @@ func TestApproxSafeRegionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(778))
 	for trial := 0; trial < 30; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 8 {
 			continue
 		}
@@ -181,7 +181,7 @@ func TestSafeRegionExactnessRandom(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 4; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) < 2 || len(rsl) > 8 {
 			continue
 		}
@@ -257,7 +257,7 @@ func TestSortDimOptionStillValid(t *testing.T) {
 func TestRegionEquivalenceHelperOnSafeRegions(t *testing.T) {
 	// The same safe region computed twice must be equivalent.
 	e := fig1Engine()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, fig1(), paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, fig1(), paperQ))
 	a := e.SafeRegion(paperQ, rsl)
 	b := e.SafeRegion(paperQ, rsl)
 	if !region.Equivalent(a, b) {

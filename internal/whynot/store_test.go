@@ -40,7 +40,7 @@ func TestApproxStoreSaveLoadRoundTrip(t *testing.T) {
 	// The loaded store produces identical safe regions.
 	q := products[7].Point.Clone()
 	q[0] += 0.5
-	rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 	if len(rsl) > 0 {
 		a := e.ApproxSafeRegion(q, rsl, store)
 		b := e.ApproxSafeRegion(q, rsl, back)

@@ -116,7 +116,7 @@ func TestMQPPaperExample(t *testing.T) {
 func TestSafeRegionPaperExample(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	if len(rsl) != 5 {
 		t.Fatalf("|RSL(q)| = %d, want 5", len(rsl))
 	}
@@ -147,7 +147,7 @@ func TestSafeRegionPaperExample(t *testing.T) {
 func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 	// Probe interior grid points of every safe-region rectangle (the closed
 	// boundary may weakly lose a customer by construction, so stay inside).
@@ -193,7 +193,7 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 func TestMWQPaperExampleC7(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	c7 := Item{ID: 7, Point: geom.NewPoint(26, 70)}
 	res := must(e.MWQExactCtx(bg, c7, paperQ, rsl, Options{}))
 	if res.Case != CaseOverlap {
@@ -229,7 +229,7 @@ func TestMWQPaperExampleC7(t *testing.T) {
 func TestMWQPaperExampleC1(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	c1 := Item{ID: 1, Point: geom.NewPoint(5, 30)}
 	res := must(e.MWQExactCtx(bg, c1, paperQ, rsl, Options{}))
 	if res.Case != CaseDisjoint {
@@ -292,7 +292,7 @@ func TestAlreadyMemberShortCircuits(t *testing.T) {
 	if !mqp.AlreadyMember || mqp.Best().Cost != 0 {
 		t.Fatalf("MQP for member = %+v", mqp)
 	}
-	rsl := must(e.DB.ReverseSkylineCtx(bg, fig1(), paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, fig1(), paperQ))
 	mwq := must(e.MWQExactCtx(bg, c2, paperQ, rsl, Options{}))
 	if !mwq.AlreadyMember || mwq.Cost != 0 {
 		t.Fatalf("MWQ for member = %+v", mwq)
@@ -382,7 +382,7 @@ func TestMWQSoundnessRandom(t *testing.T) {
 		tested := 0
 		for trial := 0; trial < 40 && tested < 6; trial++ {
 			q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-			rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+			rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 			if len(rsl) == 0 || len(rsl) > 12 {
 				continue
 			}
@@ -440,7 +440,7 @@ func TestApproxSafeRegionSubset(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
@@ -470,7 +470,7 @@ func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 60 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := must(e.DB.ReverseSkylineCtx(bg, products, q))
+		rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
@@ -493,7 +493,7 @@ func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 func TestMQPTotalCost(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := must(e.DB.ReverseSkylineCtx(bg, customers, paperQ))
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(bg, customers, paperQ))
 	sr := e.SafeRegion(paperQ, rsl)
 	// Moving q inside its safe region costs nothing.
 	inside := geom.NewPoint(8.5, 55)

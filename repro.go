@@ -295,9 +295,6 @@ func (db *DB) StartTrace(ctx context.Context, op string) (context.Context, *Quer
 	return obs.WithTrace(ctx, t), t
 }
 
-// TraceFromContext returns the trace carried by ctx, or nil.
-func TraceFromContext(ctx context.Context) *QueryTrace { return obs.TraceFrom(ctx) }
-
 // StartExplain opens a plan-tree profile for one query: run any XxxContext
 // method with the returned context and every phase the query runs (window
 // queries, MWP candidate generation, safe-region folds, MWQ corner
@@ -344,13 +341,6 @@ func (db *DB) MWQExactExplain(ctx context.Context, ct Item, q Point, rsl []Item,
 	ctx, finish := db.StartExplain(ctx, "mwq")
 	res, err := db.MWQExactContext(ctx, ct, q, rsl, opt)
 	return res, finish("exact"), err
-}
-
-// MWPExplain is MWPContext with a plan profile.
-func (db *DB) MWPExplain(ctx context.Context, ct Item, q Point, opt Options) (MWPResult, *ExplainPlan, error) {
-	ctx, finish := db.StartExplain(ctx, "mwp")
-	res, err := db.MWPContext(ctx, ct, q, opt)
-	return res, finish(""), err
 }
 
 // obsCtx instruments a context entering this DB; every XxxContext method

@@ -196,8 +196,9 @@ fuzz-smoke:
 	$(GO) test ./internal/region -run FuzzStaircaseCorners -fuzz FuzzStaircaseCorners -fuzztime $(FUZZTIME)
 
 # Crash smoke: the WAL kill-injection soak at short length — every log
-# write/fsync/rotate/snapshot boundary killed twice, recovery verified
-# against the oracle replay. Appends to BENCH_crash.json.
+# write/fsync/rotate/snapshot boundary killed twice, then the three composed
+# kill × storage-fault trials, recovery verified against the oracle replay.
+# Appends to BENCH_crash.json.
 crash-smoke:
 	$(GO) run ./cmd/crash -mutations 60 -visits 2 -out BENCH_crash.json
 

@@ -5,6 +5,9 @@
 // the production recovery path, and checks the durability contract —
 // acknowledged mutations survive, the recovered state equals an oracle
 // replay, queries answer identically, and the log accepts new appends.
+// After that site × visit matrix it runs the composed kill × storage-fault
+// trials (crashtest.ComposedTrials): a crash while degraded read-only,
+// inside the reopen probe, and inside a scrubber quarantine.
 //
 // The schema-versioned run summary is printed and appended to the output
 // JSON (an array of runs; default BENCH_crash.json). Any durability
@@ -55,7 +58,7 @@ func main() {
 		Seed:            *seed,
 		SegmentBytes:    *segBytes,
 		CheckpointEvery: *ckpt,
-		Trials:          crashtest.DefaultTrials(*visits),
+		Trials:          append(crashtest.DefaultTrials(*visits), crashtest.ComposedTrials()...),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash:", err)

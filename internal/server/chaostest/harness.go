@@ -168,7 +168,9 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	// Fault plan: the exact MWQ rung panics at the safe-region checkpoint —
 	// a site only the exact algorithm visits, so the ladder's cheaper rungs
 	// stay healthy and "no 5xx" is a real invariant, not luck. The customer
-	// scan gets a small stall to build queue pressure.
+	// checkpoint gets a small stall to build queue pressure. The server
+	// answers RSL(q) with BBRS, so it fires once per global-skyline member
+	// the reverse skyline verifies, not once per customer.
 	inj := faultinject.New(
 		faultinject.Rule{Site: cancel.SiteSafeRegion, Panic: "chaos: injected exact-rung bug"},
 		faultinject.Rule{Site: cancel.SiteCustomer, Delay: 50 * time.Microsecond},

@@ -46,7 +46,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("point has %d dims, dataset has %d", len(req.Point), dims))
 		return
 	}
-	if _, dup := snap.byID[req.ID]; dup {
+	if _, dup := snap.Customer(req.ID); dup {
 		s.writeError(w, http.StatusConflict, fmt.Sprintf("id %d already present", req.ID))
 		return
 	}
@@ -90,7 +90,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "no dataset loaded")
 		return
 	}
-	stored, ok := snap.byID[req.ID]
+	stored, ok := snap.Customer(req.ID)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Sprintf("id %d not found", req.ID))
 		return

@@ -562,7 +562,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	rsl, err := snap.DB.ReverseSkylineContext(ctx, snap.Items, q)
+	rsl, err := snap.ReverseSkyline(ctx, q)
 	if err != nil {
 		qerr = err
 		s.failQuery(w, err)
@@ -646,7 +646,7 @@ func (s *Server) handleRSkyline(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	q := repro.NewPoint(req.Q...)
-	rsl, err := snap.DB.ReverseSkylineContext(ctx, snap.Items, q)
+	rsl, err := snap.ReverseSkyline(ctx, q)
 	if err != nil {
 		qerr = err
 		s.failQuery(w, err)

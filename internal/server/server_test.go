@@ -253,7 +253,7 @@ func TestServerReload(t *testing.T) {
 }
 
 // blockHook is a cancel.Hook that parks the first query reaching the
-// customer-scan checkpoint until released, so tests can hold a request
+// reverse-skyline customer checkpoint until released, so tests can hold a request
 // in flight deterministically.
 type blockHook struct {
 	entered chan struct{} // closed when a query reaches the checkpoint

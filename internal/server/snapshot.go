@@ -1,12 +1,15 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro"
 	"repro/internal/dataset"
+	"repro/internal/obs/explain"
 )
 
 // DatasetSpec names a dataset source for the initial load and for hot-swap
@@ -25,8 +28,8 @@ type DatasetSpec struct {
 }
 
 // Snapshot is one fully built, immutable serving state: the indexed DB, the
-// item list it was built from, an ID lookup, and optionally the approximate
-// store. Snapshots are swapped behind an atomic pointer; a request loads the
+// item list it was built from, an ID → position index over that list, and
+// optionally the approximate store. Snapshots are swapped behind an atomic pointer; a request loads the
 // pointer once and sees one consistent dataset for its whole lifetime, no
 // matter how many reloads land mid-flight.
 type Snapshot struct {
@@ -38,13 +41,36 @@ type Snapshot struct {
 	// Seq is the monotone swap sequence number (1 = boot snapshot).
 	Seq uint64
 
-	byID map[int]repro.Item
+	pos map[int]int // item ID → its index in Items
 }
 
 // Customer looks a dataset item up by ID.
 func (s *Snapshot) Customer(id int) (repro.Item, bool) {
-	it, ok := s.byID[id]
-	return it, ok
+	i, ok := s.pos[id]
+	if !ok {
+		return repro.Item{}, false
+	}
+	return s.Items[i], true
+}
+
+// ReverseSkyline computes RSL(q) over the snapshot's customers in one "rsl"
+// phase (trace span, plan node and pprof label). The customers are the
+// snapshot's own products, so the monochromatic BBRS pipeline returns
+// exactly the members the per-customer filter would over Items, after
+// testing only the global skyline of q; the members come back in snapshot
+// order, as the filter returns them, so response bodies and the RSL handed
+// to the degradation ladder do not depend on the traversal.
+func (s *Snapshot) ReverseSkyline(ctx context.Context, q repro.Point) ([]repro.Item, error) {
+	ctx, sp := explain.Phase(ctx, "rsl", explain.RuleNone)
+	defer sp.End()
+	sp.SetIn(len(s.Items))
+	rsl, err := s.DB.ReverseSkylineBBRSContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(rsl, func(a, b repro.Item) int { return cmp.Compare(s.pos[a.ID], s.pos[b.ID]) })
+	sp.SetOut(len(rsl))
+	return rsl, nil
 }
 
 // loadItems resolves a DatasetSpec to its item list and display name.
@@ -94,10 +120,10 @@ func snapshotFromItems(ctx context.Context, items []repro.Item, name string, bui
 		DB:    db,
 		Items: items,
 		Name:  name,
-		byID:  make(map[int]repro.Item, len(items)),
+		pos:   make(map[int]int, len(items)),
 	}
-	for _, it := range items {
-		snap.byID[it.ID] = it
+	for i, it := range items {
+		snap.pos[it.ID] = i
 	}
 	if buildStore {
 		if k <= 0 {

@@ -3,8 +3,6 @@ package crashtest
 import (
 	"os"
 	"testing"
-
-	"repro/internal/wal"
 )
 
 // TestMain routes the re-exec'd child into the workload before the test
@@ -44,19 +42,15 @@ func TestCrashRecoverySmoke(t *testing.T) {
 
 // TestComposedStorageFaultCrashes runs the kill × storage-fault composition:
 // the child crashes while degraded read-only, inside the reopen probe, and
-// inside a scrubber quarantine: one trial per Mode*, each killing inside the
-// scenario's own machinery. The same four recovery invariants must hold — a
-// crash in the fault machinery is still just a crash.
+// inside a scrubber quarantine (ComposedTrials, which cmd/crash also runs).
+// The same four recovery invariants must hold — a crash in the fault
+// machinery is still just a crash.
 func TestComposedStorageFaultCrashes(t *testing.T) {
 	res, err := Run(Options{
 		Dir:       t.TempDir(),
 		Mutations: 30,
 		Seed:      42,
-		Trials: []Trial{
-			{Mode: ModeDegraded},
-			{Mode: ModeReopen, Site: wal.SiteReopen, Visit: 1},
-			{Mode: ModeQuarantine, Site: wal.SiteScrubQuarantine, Visit: 1},
-		},
+		Trials:    ComposedTrials(),
 	})
 	if err != nil {
 		t.Fatalf("harness: %v", err)

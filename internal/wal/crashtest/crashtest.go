@@ -148,6 +148,18 @@ func DefaultTrials(visits uint64) []Trial {
 	return ts
 }
 
+// ComposedTrials builds the kill × storage-fault matrix: one trial per
+// Mode*, each killing inside the scenario's own machinery (a crash while
+// degraded read-only, inside the reopen probe, inside a scrubber
+// quarantine).
+func ComposedTrials() []Trial {
+	return []Trial{
+		{Mode: ModeDegraded},
+		{Mode: ModeReopen, Site: wal.SiteReopen, Visit: 1},
+		{Mode: ModeQuarantine, Site: wal.SiteScrubQuarantine, Visit: 1},
+	}
+}
+
 // Result is the schema-versioned outcome of one harness run; cmd/crash
 // appends it to BENCH_crash.json.
 type Result struct {

@@ -42,7 +42,7 @@ vet-obs: vet
 	fi
 	@bad=$$(grep -rn 'time\.Now()' internal/obs/explain --include='*.go' | grep -v _test.go || true); \
 	if [ -n "$$bad" ]; then \
-		echo "vet-obs: raw time.Now() in the explain plan builder (per-node timings and model calibration must use obs.Now):"; \
+		echo "vet-obs: raw time.Now() in the explain plan builder (per-node timings must use obs.Now):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(for f in $$(grep -rl 'go func' internal/exec internal/engine --include='*.go' | grep -v _test.go); do \

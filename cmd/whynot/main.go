@@ -129,7 +129,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	cacheSize := fs.Int("cache", 0, "per-customer memoisation cache entries (0 = disabled)")
 	stats := fs.Bool("stats", false, "print the paper's cost counters (node accesses, dominance tests, ...) and this run's flight QueryRecord after the answer")
 	traceFlag := fs.Bool("trace", false, "print the per-query span/event trace after the answer")
-	explainFlag := fs.Bool("explain", false, "print the query's EXPLAIN plan tree (phases, prune ratios, per-level R-tree accesses, estimated vs actual cost) after the answer")
+	explainFlag := fs.Bool("explain", false, "print the query's EXPLAIN plan tree (phases, prune ratios, per-level R-tree accesses, dominance tests, wall time) after the answer")
 	slowlogPath := fs.String("slowlog", "", "append this run's flight QueryRecord as a JSON line to the given file (same schema as the server's slow-query log)")
 	flightSize := fs.Int("flight-size", 16, "flight-recorder ring size for this run's records (with -stats or -slowlog)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address and wait for SIGINT/SIGTERM")
@@ -703,7 +703,7 @@ observability flags:
   -trace            print the per-query span/event trace
   -explain          print the EXPLAIN plan tree: phases with candidate
                     in/out counts, pruning rules and ratios, per-level
-                    R-tree accesses, estimated vs actual per-phase cost
+                    R-tree accesses, dominance tests and wall time
   -slowlog f        append the run's QueryRecord to f as a JSON line (same
                     format as the server's -slowlog slow-query log)
   -flight-size n    flight-recorder ring size for this run's records

@@ -1,7 +1,7 @@
 // Package explain builds per-query plan trees: a structured profile of which
 // phases a why-not query ran, how many candidates entered and survived each
 // one, which pruning rule did the work, how many R-tree pages each phase read
-// per level, and what each phase cost against a calibrated estimate. It is
+// per level, how many dominance tests it ran, and how long it took. It is
 // the drill-down layer on top of the flat counters (internal/obs cost
 // counters) and the span timeline (obs.Trace): those say *that* a query was
 // slow, the plan says *which phase failed to prune*.
@@ -56,11 +56,8 @@ type Node struct {
 	// recorded (structural node).
 	In  int `json:"in"`
 	Out int `json:"out"`
-	// ActualNS is the measured wall time, EstNS the cost-model estimate made
-	// from the node's inputs (rule + In) before this node's own timing fed
-	// back into calibration.
+	// ActualNS is the measured wall time.
 	ActualNS int64 `json:"actual_ns"`
-	EstNS    int64 `json:"est_ns"`
 	// Cost holds the paper's cost counters flushed inside the node.
 	Cost obs.CostSnapshot `json:"cost"`
 	// NodeAccesses/LeafScans/LevelAccesses/TreePruned are the R-tree access
@@ -100,17 +97,6 @@ func (n *Node) PruneRatio() (float64, bool) {
 	return float64(n.In-n.Out) / float64(n.In), true
 }
 
-// Walk visits the node and its descendants preorder.
-func (n *Node) Walk(fn func(*Node)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}
-
 // Plan is a finished profile for one query.
 type Plan struct {
 	Op   string `json:"op"`
@@ -148,9 +134,8 @@ type Span struct {
 // End from parallel phase workers (a mutex, not atomics — explain is a
 // per-request opt-in, contention is bounded by the worker pool).
 type Builder struct {
-	op    string
-	dims  int
-	model *Model
+	op   string
+	dims int
 
 	mu    sync.Mutex
 	root  *Span
@@ -158,10 +143,10 @@ type Builder struct {
 	plan  *Plan
 }
 
-// NewBuilder opens a plan for one query. model may be nil (estimates then
-// stay zero). Attach it to the query's context with With.
-func NewBuilder(op string, dims int, model *Model) *Builder {
-	b := &Builder{op: op, dims: dims, model: model}
+// NewBuilder opens a plan for one query. Attach it to the query's context
+// with With.
+func NewBuilder(op string, dims int) *Builder {
+	b := &Builder{op: op, dims: dims}
 	b.root = &Span{b: b, n: &Node{Name: op, In: -1, Out: -1}, start: obs.Now()}
 	return b
 }
@@ -228,9 +213,9 @@ func (sp *Span) SetOut(n int) {
 	sp.n.Out = n
 }
 
-// End closes the span: the plan node (actual time, counters, cost estimate
-// and model calibration), the trace span, and the pprof label, which goes
-// back to the caller's. Idempotent; typically deferred.
+// End closes the span: the plan node (actual time and counters), the trace
+// span, and the pprof label, which goes back to the caller's. Idempotent;
+// typically deferred.
 func (sp *Span) End() {
 	if sp == nil || sp.ended {
 		return
@@ -256,29 +241,14 @@ func (b *Builder) closeLocked(sp *Span, now int64) {
 		return
 	}
 	sp.nodeDone = true
-	n := sp.n
-	n.ActualNS = now - sp.start
-	n.setCounts(sp.tally.Counts())
-	units := estUnits(n)
-	n.EstNS = b.model.Estimate(n.Rule, units)
-	b.model.Observe(n.Rule, units, n.ActualNS)
+	sp.n.ActualNS = now - sp.start
+	sp.n.setCounts(sp.tally.Counts())
 	for i := len(b.stack) - 1; i >= 0; i-- {
 		if b.stack[i] == sp {
 			b.stack = append(b.stack[:i], b.stack[i+1:]...)
 			break
 		}
 	}
-}
-
-// estUnits maps a node to the cost model's work units: the inbound candidate
-// count, the paper's cost driver for every phase (one DSL and anti-DDR per
-// safe-region member, one MWP per corner). Structural nodes without counts
-// charge one unit.
-func estUnits(n *Node) int64 {
-	if n.In > 0 {
-		return int64(n.In)
-	}
-	return 1
 }
 
 // Finish closes any still-open spans and the root, derives the fingerprint,

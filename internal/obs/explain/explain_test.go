@@ -2,6 +2,8 @@ package explain
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -11,7 +13,7 @@ import (
 )
 
 func TestBuilderTreeAndDeltas(t *testing.T) {
-	b := NewBuilder("mwq", 2, NewModel())
+	b := NewBuilder("mwq", 2)
 	ctx := With(context.Background(), b)
 
 	pctx, sp := Phase(ctx, "saferegion", RuleSafeRegion)
@@ -85,11 +87,11 @@ func TestBuilderTreeAndDeltas(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "est=") {
+	if strings.Contains(out, "act=") || strings.Contains(out, "total=") {
 		t.Fatalf("stable render leaks timings:\n%s", out)
 	}
-	if !strings.Contains(plan.String(), "est=") {
-		t.Fatal("timed render missing estimates")
+	if timed := plan.String(); !strings.Contains(timed, "act=") || !strings.Contains(timed, "total=") {
+		t.Fatalf("timed render missing wall times:\n%s", timed)
 	}
 }
 
@@ -99,7 +101,7 @@ func TestBuilderTreeAndDeltas(t *testing.T) {
 // enclosing node.
 func TestPhaseOneSpanEverywhere(t *testing.T) {
 	tr := obs.NewTrace("mwq")
-	b := NewBuilder("mwq", 2, nil)
+	b := NewBuilder("mwq", 2)
 	ctx := With(obs.WithTrace(context.Background(), tr), b)
 	pprof.Do(ctx, pprof.Labels("op", "mwq"), func(ctx context.Context) {
 		pctx, sp := Phase(ctx, "mwq.corners", RuleMidpoint)
@@ -157,62 +159,45 @@ func TestDisabledPathIsNilAndAllocFree(t *testing.T) {
 	}
 }
 
-func TestModelCalibration(t *testing.T) {
-	m := NewModel()
-	before := m.Estimate(RuleDSLWindow, 10)
-	// Feed consistently cheaper observations; the EWMA must pull the
-	// estimate down.
-	for i := 0; i < 100; i++ {
-		m.Observe(RuleDSLWindow, 10, 1000) // 100 ns/unit
-	}
-	after := m.Estimate(RuleDSLWindow, 10)
-	if after >= before {
-		t.Fatalf("calibration did not converge down: before=%d after=%d", before, after)
-	}
-	if after < 900 || after > 3000 {
-		t.Fatalf("calibrated estimate out of range: %d", after)
-	}
-	var nilModel *Model
-	if nilModel.Estimate(RuleDSLWindow, 10) != 0 {
-		t.Fatal("nil model must estimate 0")
-	}
-	nilModel.Observe(RuleDSLWindow, 1, 1) // must not panic
+// workPlan builds a one-phase plan whose root counts work dominance tests
+// and which took ns of wall time.
+func workPlan(work int, ns int64) *Plan {
+	b := NewBuilder("mwq", 2)
+	pctx, sp := Phase(With(context.Background(), b), "saferegion", RuleSafeRegion)
+	sp.SetIn(4)
+	sp.SetOut(2)
+	obs.Flush(pctx, &obs.Counts{CostSnapshot: obs.CostSnapshot{DominanceTests: uint64(work)}})
+	sp.End()
+	p := b.Finish("exact")
+	p.TotalNS = ns
+	return p
 }
 
+// TestStoreDriftDetection: a class whose counted work grows by 1.6× latches
+// drift within driftMinRecent samples of the baseline freezing, and clears
+// once its work is back at the baseline.
 func TestStoreDriftDetection(t *testing.T) {
-	s := NewStore(4)
-	mkPlan := func(ns int64) *Plan {
-		b := NewBuilder("mwq", 2, nil)
-		_, sp := Phase(With(context.Background(), b), "saferegion", RuleSafeRegion)
-		sp.SetIn(4)
-		sp.SetOut(2)
-		sp.End()
-		p := b.Finish("exact")
-		p.TotalNS = ns
-		return p
-	}
-	// Baseline: 1ms-ish latencies.
+	s := NewStore()
 	for i := 0; i < baselineN; i++ {
-		if s.Observe(mkPlan(1e6)) {
+		if s.Observe(workPlan(100, 1e6)) {
 			t.Fatal("drift during baseline")
 		}
 	}
-	// Regression: 5ms. Needs driftMinRecent fresh samples before tripping.
-	tripped := false
-	for i := 0; i < ringSize; i++ {
-		if s.Observe(mkPlan(5e6)) {
-			tripped = true
+	latchedAt := 0
+	for i := 1; i <= driftMinRecent; i++ {
+		if s.Observe(workPlan(160, 1e6)) {
+			latchedAt = i
+			break
 		}
 	}
-	if !tripped {
-		t.Fatal("5x latency regression did not trip drift")
+	if latchedAt == 0 {
+		t.Fatalf("1.6x counted work did not latch drift within %d samples", driftMinRecent)
 	}
 	if s.Drifting() != 1 {
 		t.Fatalf("Drifting() = %d, want 1", s.Drifting())
 	}
-	// Recovery: back to baseline clears the latch.
 	for i := 0; i < ringSize; i++ {
-		s.Observe(mkPlan(1e6))
+		s.Observe(workPlan(100, 1e6))
 	}
 	if s.Drifting() != 0 {
 		t.Fatalf("Drifting() after recovery = %d, want 0", s.Drifting())
@@ -221,30 +206,81 @@ func TestStoreDriftDetection(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("classes = %d, want 1", len(snaps))
 	}
-	if snaps[0].Count != baselineN+2*ringSize {
-		t.Fatalf("count = %d", snaps[0].Count)
+	if want := uint64(baselineN + latchedAt + ringSize); snaps[0].Count != want {
+		t.Fatalf("count = %d, want %d", snaps[0].Count, want)
 	}
-	if snaps[0].PruneRatioP50 != 0.5 {
-		t.Fatalf("prune ratio p50 = %v", snaps[0].PruneRatioP50)
+}
+
+// TestStoreDriftIgnoresLatency: a class that does the same counted work at
+// 5× the latency, as under CPU contention, never latches drift; the
+// latency percentiles still report the slowdown.
+func TestStoreDriftIgnoresLatency(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < baselineN; i++ {
+		s.Observe(workPlan(100, 1e6))
+	}
+	for i := 0; i < 2*ringSize; i++ {
+		if s.Observe(workPlan(100, 5e6)) {
+			t.Fatalf("sample %d: identical work at 5x latency latched drift", i)
+		}
+	}
+	if s.Drifting() != 0 {
+		t.Fatalf("Drifting() = %d, want 0", s.Drifting())
+	}
+	if c := s.Snapshot()[0]; c.LatencyP95MS != 5 || c.CostP95 != 100 {
+		t.Fatalf("latency p95 = %vms, cost p95 = %v; want 5ms and 100", c.LatencyP95MS, c.CostP95)
+	}
+}
+
+// TestStoreBaselineCostP95: baseline_cost_p95 is absent until baselineN
+// samples arrive, then reads the p95 of their counted work and stays frozen
+// while the recent percentiles move.
+func TestStoreBaselineCostP95(t *testing.T) {
+	s := NewStore()
+	for i := 1; i < baselineN; i++ {
+		s.Observe(workPlan(i, 1e6))
+	}
+	raw, err := json.Marshal(s.Snapshot()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "baseline_cost_p95") {
+		t.Fatalf("baseline reported before it froze: %s", raw)
+	}
+	s.Observe(workPlan(baselineN, 1e6))
+	want := float64(baselineN*95/100 + 1) // the nearest-rank p95 of the costs 1..baselineN
+	for i := 0; i < ringSize; i++ {
+		s.Observe(workPlan(1000, 1e6))
+	}
+	c := s.Snapshot()[0]
+	if c.BaselineCostP95 != want || c.CostP95 != 1000 {
+		t.Fatalf("baseline cost p95 = %v, recent cost p95 = %v; want %v and 1000", c.BaselineCostP95, c.CostP95, want)
+	}
+	raw, err = json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), fmt.Sprintf(`"baseline_cost_p95":%v`, want)) {
+		t.Fatalf("JSON lacks the frozen baseline %v: %s", want, raw)
 	}
 }
 
 func TestStoreBounded(t *testing.T) {
-	s := NewStore(2)
-	for i := 0; i < 5; i++ {
-		b := NewBuilder("op", i, nil) // dims varies → distinct fingerprints
+	s := NewStore()
+	for i := 0; i <= maxClasses; i++ {
+		b := NewBuilder("op", i) // dims varies → distinct fingerprints
 		s.Observe(b.Finish("exact"))
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (bounded)", s.Len())
+	if s.Len() != maxClasses {
+		t.Fatalf("Len = %d, want %d (bounded)", s.Len(), maxClasses)
 	}
-	if s.Overflow() != 3 {
-		t.Fatalf("Overflow = %d, want 3", s.Overflow())
+	if s.Overflow() != 1 {
+		t.Fatalf("Overflow = %d, want 1", s.Overflow())
 	}
 }
 
 func TestBuilderConcurrentSpans(t *testing.T) {
-	b := NewBuilder("mwq", 2, NewModel())
+	b := NewBuilder("mwq", 2)
 	ctx := With(context.Background(), b)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -262,7 +298,14 @@ func TestBuilderConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	plan := b.Finish("exact")
 	total := 0
-	plan.Root.Walk(func(*Node) { total++ })
+	var count func(n *Node)
+	count = func(n *Node) {
+		total++
+		for _, c := range n.Children {
+			count(c)
+		}
+	}
+	count(plan.Root)
 	if total != 1+8*50 {
 		t.Fatalf("nodes = %d, want %d", total, 1+8*50)
 	}

@@ -55,20 +55,21 @@ func fingerprintOf(op string, dims int, rung, shape string) string {
 }
 
 // Store aggregation bounds. ringSize recent samples give a usable p95;
-// baselineN samples freeze the reference percentile the drift test compares
-// against; a class begins drift-testing once the recent ring holds
-// driftMinRecent fresh samples beyond the baseline.
+// the first baselineN samples (baselineN ≤ ringSize, so the ring still holds
+// them all when the baseline freezes) give the reference percentile the
+// drift test compares against; a class begins drift-testing once the recent
+// ring holds driftMinRecent fresh samples beyond the baseline; maxClasses
+// bounds the class table.
 const (
 	ringSize       = 64
 	baselineN      = 32
 	driftMinRecent = 32
-	// driftFactor trips the detector (recent p95 > factor × baseline p95);
-	// clearFactor re-arms it lower so a class flapping around the threshold
-	// does not strobe the gauge. driftMinDeltaNS absorbs microsecond-scale
-	// noise on very fast classes.
-	driftFactor     = 1.5
-	clearFactor     = 1.25
-	driftMinDeltaNS = 200e3
+	maxClasses     = 256
+	// driftFactor trips the detector (recent cost p95 > factor × baseline
+	// cost p95); clearFactor re-arms it lower so a class flapping around the
+	// threshold does not strobe the gauge.
+	driftFactor = 1.5
+	clearFactor = 1.25
 )
 
 // class accumulates one fingerprint's samples.
@@ -80,15 +81,12 @@ type class struct {
 
 	count uint64
 
-	latRing   [ringSize]float64 // ns
-	costRing  [ringSize]float64 // work units (dominance tests + node accesses)
-	pruneRing [ringSize]float64 // whole-plan prune ratio
-	ringN     int               // filled slots
-	ringI     int               // next write
+	latRing  [ringSize]float64 // ns
+	costRing [ringSize]float64 // counted work (dominance tests + node accesses)
+	ringN    int               // filled slots
+	ringI    int               // next write
 
-	baseline    []float64 // first baselineN latencies, then frozen
-	baselineP95 float64   // valid once len(baseline) == baselineN
-	sinceBase   int       // samples observed after the baseline froze
+	baselineP95 float64 // cost p95 of the first baselineN samples; 0 before
 	drifting    bool
 }
 
@@ -102,13 +100,12 @@ type ClassSnapshot struct {
 	Shape       string `json:"shape"`
 	Count       uint64 `json:"count"`
 
-	LatencyP50MS  float64 `json:"latency_p50_ms"`
-	LatencyP95MS  float64 `json:"latency_p95_ms"`
-	BaselineP95MS float64 `json:"baseline_p95_ms,omitempty"`
-	CostP50       float64 `json:"cost_p50"`
-	CostP95       float64 `json:"cost_p95"`
-	PruneRatioP50 float64 `json:"prune_ratio_p50"`
-	Drifting      bool    `json:"drifting"`
+	LatencyP50MS    float64 `json:"latency_p50_ms"`
+	LatencyP95MS    float64 `json:"latency_p95_ms"`
+	CostP50         float64 `json:"cost_p50"`
+	CostP95         float64 `json:"cost_p95"`
+	BaselineCostP95 float64 `json:"baseline_cost_p95,omitempty"`
+	Drifting        bool    `json:"drifting"`
 }
 
 // Store is the bounded query-fingerprint aggregator. One per serving surface
@@ -117,41 +114,38 @@ type ClassSnapshot struct {
 type Store struct {
 	mu       sync.Mutex
 	classes  map[string]*class
-	max      int
 	overflow uint64 // queries whose new class did not fit
 }
 
-// NewStore returns a store bounded to max classes (≤0 = 256). Eviction is
+// NewStore returns a store bounded to maxClasses classes. Eviction is
 // rejection: once full, queries of unseen shapes count into Overflow instead
 // of displacing established baselines — a regression store that recycles its
 // baselines under churn cannot detect drift.
-func NewStore(max int) *Store {
-	if max <= 0 {
-		max = 256
-	}
-	return &Store{classes: make(map[string]*class), max: max}
+func NewStore() *Store {
+	return &Store{classes: make(map[string]*class)}
 }
 
 // Observe folds a finished plan into its class and reports whether this
 // sample tripped (or re-confirmed) the class's drift detector. The caller
 // surfaces a true return as a flight-recorder event and on the
 // fingerprint_drift gauge.
+//
+// Drift is judged on counted work, not time: the root's dominance tests plus
+// its node accesses, the two axes §VII measures. The root's counts already
+// aggregate the whole query, and identical queries count identically however
+// loaded the host is, so the class's frozen baseline covers its own case mix
+// and a latch means the class does more work than it did.
 func (s *Store) Observe(p *Plan) (drifting bool) {
 	if s == nil || p == nil || p.Root == nil {
 		return false
 	}
-	// The root's deltas already aggregate the whole query (children are
-	// sub-intervals of the root's snapshot window), so the per-query cost
-	// scalar reads the root once: dominance tests + node accesses, the two
-	// axes §VII measures.
 	cost := float64(p.Root.Cost.DominanceTests) + float64(p.Root.NodeAccesses)
-	prune, _ := wholePlanPruneRatio(p.Root)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.classes[p.Fingerprint]
 	if c == nil {
-		if len(s.classes) >= s.max {
+		if len(s.classes) >= maxClasses {
 			s.overflow++
 			return false
 		}
@@ -159,49 +153,27 @@ func (s *Store) Observe(p *Plan) (drifting bool) {
 		s.classes[p.Fingerprint] = c
 	}
 	c.count++
-	lat := float64(p.TotalNS)
-	c.latRing[c.ringI] = lat
+	c.latRing[c.ringI] = float64(p.TotalNS)
 	c.costRing[c.ringI] = cost
-	c.pruneRing[c.ringI] = prune
 	c.ringI = (c.ringI + 1) % ringSize
 	if c.ringN < ringSize {
 		c.ringN++
 	}
-	if len(c.baseline) < baselineN {
-		c.baseline = append(c.baseline, lat)
-		if len(c.baseline) == baselineN {
-			c.baselineP95 = percentile(append([]float64(nil), c.baseline...), 95)
-		}
+	switch {
+	case c.count == baselineN:
+		c.baselineP95 = percentile(ringCopy(&c.costRing, c.ringN), 95)
+		return false
+	case c.count < baselineN+driftMinRecent:
 		return false
 	}
-	c.sinceBase++
-	if c.sinceBase < driftMinRecent {
-		return c.drifting
-	}
-	recent := percentile(ringCopy(&c.latRing, c.ringN), 95)
+	recent := percentile(ringCopy(&c.costRing, c.ringN), 95)
 	switch {
-	case !c.drifting && recent > c.baselineP95*driftFactor && recent-c.baselineP95 > driftMinDeltaNS:
+	case !c.drifting && recent > c.baselineP95*driftFactor:
 		c.drifting = true
 	case c.drifting && recent <= c.baselineP95*clearFactor:
 		c.drifting = false
 	}
 	return c.drifting
-}
-
-// wholePlanPruneRatio aggregates candidates in/out over every node that
-// recorded counts: total eliminated / total entering.
-func wholePlanPruneRatio(root *Node) (float64, bool) {
-	var in, cut int
-	root.Walk(func(n *Node) {
-		if _, ok := n.PruneRatio(); ok {
-			in += n.In
-			cut += n.In - n.Out
-		}
-	})
-	if in == 0 {
-		return 0, false
-	}
-	return float64(cut) / float64(in), true
 }
 
 // Drifting returns how many classes currently trip the drift detector — the
@@ -254,21 +226,19 @@ func (s *Store) Snapshot() []ClassSnapshot {
 	for fp, c := range s.classes {
 		lat := ringCopy(&c.latRing, c.ringN)
 		cost := ringCopy(&c.costRing, c.ringN)
-		pr := ringCopy(&c.pruneRing, c.ringN)
 		out = append(out, ClassSnapshot{
-			Fingerprint:   fp,
-			Op:            c.op,
-			Dims:          c.dims,
-			Rung:          c.rung,
-			Shape:         c.shape,
-			Count:         c.count,
-			LatencyP50MS:  percentile(lat, 50) / 1e6,
-			LatencyP95MS:  percentile(lat, 95) / 1e6,
-			BaselineP95MS: c.baselineP95 / 1e6,
-			CostP50:       percentile(cost, 50),
-			CostP95:       percentile(cost, 95),
-			PruneRatioP50: percentile(pr, 50),
-			Drifting:      c.drifting,
+			Fingerprint:     fp,
+			Op:              c.op,
+			Dims:            c.dims,
+			Rung:            c.rung,
+			Shape:           c.shape,
+			Count:           c.count,
+			LatencyP50MS:    percentile(lat, 50) / 1e6,
+			LatencyP95MS:    percentile(lat, 95) / 1e6,
+			CostP50:         percentile(cost, 50),
+			CostP95:         percentile(cost, 95),
+			BaselineCostP95: c.baselineP95,
+			Drifting:        c.drifting,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool {

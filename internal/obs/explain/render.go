@@ -8,9 +8,9 @@ import (
 )
 
 // RenderOptions controls the tree rendering. Timings=false drops every
-// machine-dependent field (actual/estimated ns) so golden tests can pin the
-// deterministic plan: phases, rules, candidate counts, prune ratios, node
-// accesses.
+// machine-dependent field (the act= and total= wall times) so golden tests
+// can pin the deterministic plan: phases, rules, candidate counts, prune
+// ratios, node accesses.
 type RenderOptions struct {
 	Timings bool
 }
@@ -61,10 +61,7 @@ func (p *Plan) Render(w io.Writer, opts RenderOptions) {
 				c.DominanceTests, c.WindowQueries, c.CandidateEvaluations, c.PrunedEntries)
 		}
 		if opts.Timings {
-			fmt.Fprintf(w, " est=%s act=%s", fmtNS(n.EstNS), fmtNS(n.ActualNS))
-			if n.EstNS > 0 {
-				fmt.Fprintf(w, " (%+.0f%%)", 100*float64(n.ActualNS-n.EstNS)/float64(n.EstNS))
-			}
+			fmt.Fprintf(w, " act=%s", fmtNS(n.ActualNS))
 		}
 		fmt.Fprintln(w)
 		for _, c := range n.Children {

@@ -115,12 +115,12 @@ func TestHeadSamplingDeterministic(t *testing.T) {
 
 func TestSlowSampling(t *testing.T) {
 	advance := fakeClock(t, time.Hour)
-	l := New(Config{HeadSampleEvery: 1 << 20}) // MinSlow defaults to 250ms
+	l := New(Config{HeadSampleEvery: 1 << 20}) // minSlow is 250ms
 
 	a := l.Begin("op", "test", "", 0)
 	advance(400 * time.Millisecond)
 	if rec, _ := a.Finish(OutcomeOK, ""); !rec.Sampled || rec.SampleReason != SampleSlow {
-		t.Errorf("400ms record: sampled=%v reason=%q, want slow (MinSlow floor 250ms)", rec.Sampled, rec.SampleReason)
+		t.Errorf("400ms record: sampled=%v reason=%q, want slow (minSlow floor 250ms)", rec.Sampled, rec.SampleReason)
 	}
 	a = l.Begin("op", "test", "", 0)
 	advance(100 * time.Millisecond)
@@ -139,7 +139,7 @@ func TestSlowThresholdTracksP99(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		hist.Observe(1.8) // p99 lands in a bucket ≥ 1.8s
 	}
-	l := New(Config{Latency: hist, WarmCount: 100, HeadSampleEvery: 1 << 20})
+	l := New(Config{Latency: hist, HeadSampleEvery: 1 << 20})
 
 	// 400ms is past the absolute floor but well under the live p99: healthy.
 	a := l.Begin("op", "test", "", 0)

@@ -24,16 +24,6 @@ type Config struct {
 	// so the choice is deterministic and testable) as a healthy-query
 	// baseline. Default 64; 1 retains everything.
 	HeadSampleEvery int
-	// SlowFactor scales the live p99 of Latency into the slow threshold
-	// (default 1.0: anything at or past the current p99 is "slow").
-	SlowFactor float64
-	// MinSlow is the slow threshold while Latency has fewer than WarmCount
-	// observations (or is absent), and the floor below which the p99-derived
-	// threshold never drops. Default 250ms.
-	MinSlow time.Duration
-	// WarmCount is how many Latency observations are required before the
-	// p99-relative threshold replaces MinSlow. Default 100.
-	WarmCount uint64
 	// Latency is the serving-latency histogram (seconds) the slow threshold
 	// tracks — typically the server's request-duration histogram. Optional.
 	Latency *obs.Histogram
@@ -57,17 +47,15 @@ func (c Config) withDefaults() Config {
 	if c.HeadSampleEvery <= 0 {
 		c.HeadSampleEvery = 64
 	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 1.0
-	}
-	if c.MinSlow <= 0 {
-		c.MinSlow = 250 * time.Millisecond
-	}
-	if c.WarmCount == 0 {
-		c.WarmCount = 100
-	}
 	return c
 }
+
+// minSlow is the slow threshold's floor, and the whole threshold until
+// Latency holds warmCount observations (see slowThreshold).
+const (
+	minSlow   = 250 * time.Millisecond
+	warmCount = 100
+)
 
 // Ledger is the flight recorder: a ring of finished QueryRecords, a table of
 // in-flight queries, and the tail-sampling decision. All methods are safe for
@@ -328,19 +316,15 @@ func (l *Ledger) sampleReason(rec *QueryRecord, breaker bool, durNS int64) (stri
 	return "", false
 }
 
-// slowThreshold is SlowFactor × live p99 once the latency histogram has
-// warmed up, floored at MinSlow (which also covers the cold start and the
+// slowThreshold is the live p99 once the latency histogram has warmed up,
+// floored at minSlow (which also covers the cold start and the
 // no-histogram configuration).
 func (l *Ledger) slowThreshold() time.Duration {
 	h := l.cfg.Latency
-	if h.Count() < l.cfg.WarmCount {
-		return l.cfg.MinSlow
+	if h.Count() < warmCount {
+		return minSlow
 	}
-	d := time.Duration(l.cfg.SlowFactor * h.Quantile(0.99) * float64(time.Second))
-	if d < l.cfg.MinSlow {
-		d = l.cfg.MinSlow
-	}
-	return d
+	return max(time.Duration(h.Quantile(0.99)*float64(time.Second)), minSlow)
 }
 
 func dumpSpans(spans []obs.Span) []TraceSpan {

@@ -111,17 +111,19 @@ func StaircaseCornersGrid(tr []geom.Point, u geom.Point) []geom.Point {
 // The bounds left after the last point are the corners, sorted into
 // StaircaseCornersGrid's order so that the rectangle lists built from them
 // do not depend on the construction. tr must lie in [0, u]; dominated and
-// duplicate points are allowed and leave the result unchanged. Each step is
-// polynomial in the number of bounds, so poll is called once per point.
+// duplicate points are allowed and leave the result unchanged. At high d
+// one point can replace thousands of bounds, so poll is called once per
+// bound examined and once per maximal projection checked against the bounds
+// z left, not once per point.
 func localUpperBounds(tr []geom.Point, u geom.Point, poll func() error) ([]geom.Point, error) {
 	bounds := []geom.Point{u.Clone()}
 	var next, proj []geom.Point
 	for _, z := range tr {
-		if err := pollErr(poll); err != nil {
-			return nil, err
-		}
 		next, proj = next[:0], proj[:0]
 		for _, v := range bounds {
+			if err := pollErr(poll); err != nil {
+				return nil, err
+			}
 			if !strictlyBelow(z, v) {
 				next = append(next, v)
 				continue
@@ -135,6 +137,9 @@ func localUpperBounds(tr []geom.Point, u geom.Point, poll func() error) ([]geom.
 		kept := len(next)
 	projections:
 		for _, p := range maximalPoints(proj) {
+			if err := pollErr(poll); err != nil {
+				return nil, err
+			}
 			for _, w := range next[:kept] {
 				if p.WeaklyDominates(w) {
 					continue projections
@@ -244,8 +249,8 @@ func AntiDDR(c geom.Point, dsl []geom.Point, universe geom.Rect) Set {
 // window-constrained DSL traversal returns it; no DSL point outside the
 // window cuts a box inside it, so none is missing. The corners come from
 // the Fig. 10 staircase at d = 2 and from localUpperBounds at d ≥ 3, which
-// polls once per DSL point; the final prune polls too. A nil poll restores
-// the unpolled loops.
+// polls once per bound examined; the final prune polls too. A nil poll
+// restores the unpolled loops.
 func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, bound geom.Point, poll func() error) (Set, error) {
 	u := universe.TransformMinMax(c).Hi
 	if bound != nil {

@@ -445,8 +445,8 @@ func TestLocalUpperBoundsMatchGrid(t *testing.T) {
 }
 
 // At d ≥ 3 a poll that fails on its first call stops AntiDDRChecked, which
-// returns that error and no set. The corner construction itself polls once
-// per DSL point and stops at the first failing poll.
+// returns that error and no set. The corner construction itself stops at
+// the first failing poll.
 func TestAntiDDRCheckedStopsAtFirstPoll(t *testing.T) {
 	stop := errors.New("stop")
 	calls := 0
@@ -471,6 +471,50 @@ func TestAntiDDRCheckedStopsAtFirstPoll(t *testing.T) {
 	})
 	if !errors.Is(err, stop) || corners != nil || calls != len(tr) {
 		t.Fatalf("localUpperBounds = %v, %v after %d polls; want nil, %v after %d", corners, err, calls, stop, len(tr))
+	}
+}
+
+// At d ≥ 3 one DSL point can replace thousands of bounds, so the corner
+// construction must poll at least once per bound it examines, not once per
+// point: on anticorrelated inputs, where the bounds multiply, the polls
+// outnumber the points many times over.
+func TestLocalUpperBoundsPollsPerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, d := range []int{3, 4, 5} {
+		u := make(geom.Point, d)
+		for i := range u {
+			u[i] = 10
+		}
+		tr := make([]geom.Point, 30)
+		for k := range tr {
+			p, sum := make(geom.Point, d), 0.0
+			for i := range p {
+				p[i] = rng.Float64() + 0.01
+				sum += p[i]
+			}
+			for i := range p {
+				p[i] *= 10 / sum // on the plane Σ p = 10: no point dominates another
+			}
+			tr[k] = p
+		}
+		examined := 0
+		for k := range tr {
+			before, err := localUpperBounds(tr[:k], u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			examined += len(before)
+		}
+		calls := 0
+		if _, err := localUpperBounds(tr, u, func() error { calls++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if examined < 4*len(tr) {
+			t.Fatalf("d=%d: %d bounds examined over %d points; the input does not multiply bounds", d, examined, len(tr))
+		}
+		if calls < examined {
+			t.Errorf("d=%d: %d polls for %d bounds examined over %d points", d, calls, examined, len(tr))
+		}
 	}
 }
 

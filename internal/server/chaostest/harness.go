@@ -222,13 +222,18 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
 
+	// The run's clients share one transport, so the connections they leave
+	// can be closed before Shutdown: a dial that completes after its request
+	// was cancelled parks a connection the server still counts as new, and
+	// Shutdown waits until such a connection is 5 s old.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Clients; i++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(worker)*7919))
-			client := &http.Client{}
+			client := &http.Client{Transport: transport}
 			for n := 0; runCtx.Err() == nil; n++ {
 				d := fireOne(runCtx, client, base, rng, ids, opts, n, &c)
 				if d >= 0 {
@@ -243,7 +248,7 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			client := &http.Client{}
+			client := &http.Client{Transport: transport}
 			for seed := int64(worker + 100); runCtx.Err() == nil; seed++ {
 				reloadOnce(runCtx, client, base, opts.DatasetN, seed, &c)
 				select {
@@ -262,6 +267,7 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	sleepCtx(runCtx, opts.CoolFor)
 	stop()
 	wg.Wait()
+	transport.CloseIdleConnections()
 
 	// Every client saw a terminal response, but a handler's deferred record
 	// finish can land just after the response bytes — give the ledger a

@@ -19,9 +19,8 @@ func (s *Server) Fingerprints() *explain.Store { return s.fingerprints }
 //	GET /v1/debug/fingerprints?format=text (or Accept: text/plain)
 //
 // Each class is one workload shape (op × dims × rung × plan shape) with its
-// latency/cost/prune-ratio percentiles, the frozen baseline p95, and the
-// drift verdict. The calibration block is the live cost model (ns per work
-// unit per pruning rule) the per-node estimates are made from.
+// latency and counted-work percentiles, the frozen counted-work baseline
+// p95, and the drift verdict.
 func (s *Server) handleDebugFingerprints(w http.ResponseWriter, r *http.Request) {
 	classes := s.fingerprints.Snapshot()
 	if r.URL.Query().Get("format") == "text" || strings.Contains(r.Header.Get("Accept"), "text/plain") {
@@ -29,10 +28,9 @@ func (s *Server) handleDebugFingerprints(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"classes":     classes,
-		"drifting":    s.fingerprints.Drifting(),
-		"overflow":    s.fingerprints.Overflow(),
-		"calibration": s.explainModel.Calibration(),
+		"classes":  classes,
+		"drifting": s.fingerprints.Drifting(),
+		"overflow": s.fingerprints.Overflow(),
 	})
 }
 
@@ -41,9 +39,9 @@ func (s *Server) writeFingerprintText(w http.ResponseWriter, classes []explain.C
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, "fingerprint classes (%d, busiest first):\n", len(classes))
 	for _, c := range classes {
-		line := fmt.Sprintf("  %s %-8s dims=%d n=%-6d p50=%.2fms p95=%.2fms base=%.2fms cost_p95=%.0f prune_p50=%.0f%%",
+		line := fmt.Sprintf("  %s %-8s dims=%d n=%-6d p50=%.2fms p95=%.2fms cost_p95=%.0f base_cost_p95=%.0f",
 			c.Fingerprint, c.Op, c.Dims, c.Count,
-			c.LatencyP50MS, c.LatencyP95MS, c.BaselineP95MS, c.CostP95, c.PruneRatioP50*100)
+			c.LatencyP50MS, c.LatencyP95MS, c.CostP95, c.BaselineCostP95)
 		if c.Rung != "" {
 			line += " rung=" + c.Rung
 		}

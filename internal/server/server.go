@@ -145,10 +145,9 @@ type Server struct {
 	slowlog    *flight.SlowLog
 	walMetrics *wal.Metrics
 
-	// explainModel and fingerprints live on the server, not the snapshot:
-	// cost-model calibration and drift baselines must survive dataset
-	// hot-swaps, or every reload would blind the regression detector.
-	explainModel *explain.Model
+	// fingerprints lives on the server, not the snapshot: drift baselines
+	// must survive dataset hot-swaps, or every reload would blind the
+	// regression detector.
 	fingerprints *explain.Store
 
 	snap     atomic.Pointer[Snapshot]
@@ -197,10 +196,9 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	obs.RegisterCost(cfg.Registry)
 	obs.RegisterTraceHealth(cfg.Registry)
 	obs.RegisterRuntime(cfg.Registry)
-	s.explainModel = explain.NewModel()
-	s.fingerprints = explain.NewStore(0)
+	s.fingerprints = explain.NewStore()
 	cfg.Registry.GaugeFunc("fingerprint_drift",
-		"Workload classes whose recent latency p95 drifted past their frozen baseline",
+		"Workload classes whose recent counted-work p95 drifted past their frozen baseline",
 		func() float64 { return float64(s.fingerprints.Drifting()) })
 	if err := s.initFlight(); err != nil {
 		return nil, err
@@ -544,7 +542,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 	// store needs the plan shape to classify the workload even when the
 	// client did not ask to see the tree (?explain=1 only controls whether
 	// the plan is attached to the response).
-	eb := explain.NewBuilder("whynot", snap.DB.Dims(), s.explainModel)
+	eb := explain.NewBuilder("whynot", snap.DB.Dims())
 	ctx = explain.With(ctx, eb)
 
 	q := repro.NewPoint(req.Q...)

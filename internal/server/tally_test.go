@@ -92,7 +92,6 @@ func planCounters(t *testing.T, resp map[string]any) string {
 	var strip func(n map[string]any)
 	strip = func(n map[string]any) {
 		delete(n, "actual_ns")
-		delete(n, "est_ns")
 		children, _ := n["children"].([]any)
 		for _, c := range children {
 			strip(c.(map[string]any))

@@ -110,15 +110,16 @@ type ExecMetrics = obs.ExecMetrics
 
 // ExplainPlan is the structured plan-tree profile of one query: which phases
 // ran, how many candidates entered and survived each one, which pruning rule
-// did the work, per-level R-tree page accesses, and estimated vs actual cost
-// per phase. Obtain one with StartExplain; render it with its String (timed)
-// or StableString (deterministic) methods.
+// did the work, and the work each phase counted (per-level R-tree page
+// accesses, dominance tests, window queries) beside its wall time. Obtain
+// one with StartExplain; render it with its String (timed) or StableString
+// (deterministic) methods.
 type ExplainPlan = explain.Plan
 
 // ExplainNode is one profiled phase of an ExplainPlan.
 type ExplainNode = explain.Node
 
-// FingerprintClass is the aggregated latency/cost/prune-ratio profile of one
+// FingerprintClass is the aggregated latency and counted-work profile of one
 // workload class in the query-fingerprint regression store.
 type FingerprintClass = explain.ClassSnapshot
 
@@ -135,10 +136,9 @@ type DB struct {
 	// flight is non-nil only with DBOptions.FlightSize > 0: the per-query
 	// ledger recording one flight.QueryRecord per DB entry point.
 	flight *flight.Ledger
-	// explainModel and fingerprints back the EXPLAIN surface. Both are always
-	// on — a query that never calls StartExplain pays only the nil context
-	// checks in the instrumented layers.
-	explainModel *explain.Model
+	// fingerprints backs the EXPLAIN surface. It is always on — a query that
+	// never calls StartExplain pays only the nil context checks in the
+	// instrumented layers.
 	fingerprints *explain.Store
 	// Durable-mode state (OpenDurable): the write-ahead log, the live item
 	// set it checkpoints from, and the mutation lock that keeps WAL order
@@ -207,8 +207,7 @@ func NewDBWithOptions(dims int, products []Item, opts DBOptions) *DB {
 	rdb.SetWorkers(workers) // 0, the zero value, runs sequentially
 	db := &DB{
 		engine:       engine,
-		explainModel: explain.NewModel(),
-		fingerprints: explain.NewStore(0),
+		fingerprints: explain.NewStore(),
 	}
 	if opts.Observability {
 		db.initObservability(rdb)
@@ -233,7 +232,7 @@ func (db *DB) initObservability(rdb *rskyline.DB) {
 	obs.RegisterTraceHealth(r)
 	obs.RegisterRuntime(r)
 	r.GaugeFunc("fingerprint_drift",
-		"Workload classes whose recent latency p95 drifted past their frozen baseline",
+		"Workload classes whose recent counted-work p95 drifted past their frozen baseline",
 		func() float64 { return float64(db.fingerprints.Drifting()) })
 	tree := rdb.Tree() // the tree pointer is stable across Insert/Delete
 	r.CounterFunc("rtree_node_accesses_total",
@@ -299,18 +298,18 @@ func (db *DB) StartTrace(ctx context.Context, op string) (context.Context, *Quer
 // method with the returned context and every phase the query runs (window
 // queries, MWP candidate generation, safe-region folds, MWQ corner
 // enumeration, ladder rungs) becomes a plan node with candidate counts,
-// pruning rules, R-tree accesses and estimated-vs-actual cost. Each node
+// pruning rules, R-tree accesses, dominance tests and wall time. Each node
 // counts its own query's work only, through the context. The finish func
 // closes the plan — pass the degradation rung that answered ("exact",
 // "approx", ...; "" when no ladder is involved) — feeds the
 // query-fingerprint regression store, and returns the plan for rendering or
 // inspection.
 //
-// Available regardless of DBOptions.Observability: the per-node cost model
-// and fingerprint store are always on, and a query that never calls
-// StartExplain pays only a nil context check per phase.
+// Available regardless of DBOptions.Observability: the fingerprint store is
+// always on, and a query that never calls StartExplain pays only a nil
+// context check per phase.
 func (db *DB) StartExplain(ctx context.Context, op string) (context.Context, func(rung string) *ExplainPlan) {
-	b := explain.NewBuilder(op, db.Dims(), db.explainModel)
+	b := explain.NewBuilder(op, db.Dims())
 	ctx = explain.With(ctx, b)
 	fctx := ctx
 	return ctx, func(rung string) *ExplainPlan {
@@ -331,7 +330,8 @@ func (db *DB) StartExplain(ctx context.Context, op string) (context.Context, fun
 func (db *DB) Fingerprints() []FingerprintClass { return db.fingerprints.Snapshot() }
 
 // FingerprintDrift reports how many workload classes currently trip the
-// p95 drift detector — the value behind the fingerprint_drift gauge.
+// counted-work drift detector — the value behind the fingerprint_drift
+// gauge.
 func (db *DB) FingerprintDrift() int { return db.fingerprints.Drifting() }
 
 // MWQExactExplain is MWQExactContext with a plan profile: it computes the

@@ -65,11 +65,14 @@ func TestPhaseParityTraceAndPlan(t *testing.T) {
 					spans = append(spans, sp.Name)
 				}
 			}
-			plan.Root.Walk(func(n *ExplainNode) {
-				if n != plan.Root {
-					nodes = append(nodes, n.Name)
+			var walk func(n *ExplainNode)
+			walk = func(n *ExplainNode) {
+				for _, c := range n.Children {
+					nodes = append(nodes, c.Name)
+					walk(c)
 				}
-			})
+			}
+			walk(plan.Root)
 			want := slices.Clone(tc.phases)
 			slices.Sort(want)
 			slices.Sort(spans)
